@@ -4,6 +4,12 @@ Every command prints to stdout in a deterministic, locale-independent way, so
 identical invocations are byte-identical.  Exit codes: 0 success or all checks
 passed, 1 a verification or cross-check failed, 2 malformed input or usage
 error.
+
+Each command computes its values once into one record, the JSON object README
+specifies, and hands it to ``_emit`` with two views derived from it: text
+lines and CSV rows.  The views are functions, so only the requested format is
+ever rendered; JSON is the record itself, with library objects serialized
+through their ``to_json_dict``.
 """
 
 from __future__ import annotations
@@ -13,65 +19,66 @@ import csv
 import io
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import oracle, pauli, projline, symplectic
 from .pauli import PauliOp
-from .ring import Modulus, make_modulus, unit_count
+from .projline import Point
+from .ring import make_modulus, unit_count
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text + "\n")
+def _cell(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
-def _json(obj: Any) -> str:
-    return json.dumps(obj, indent=2)
+def _kv(*pairs: tuple[str, Any]) -> list[str]:
+    """``key = value`` lines; pairs whose value is None are left out."""
+    return [f"{key} = {_cell(value)}" for key, value in pairs if value is not None]
 
 
-def _csv(header: list[str], rows: list[list[Any]]) -> str:
+def _csv_line(cells: Iterable[Any]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+    csv.writer(buf, lineterminator="").writerow([_cell(c) for c in cells])
+    return buf.getvalue()
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _one_row(record: dict[str, Any], *keys: str) -> list[Sequence[Any]]:
+    """CSV rows of a one-row table: ``keys`` as the header, their record values below."""
+    return [keys, [record[k] for k in keys]]
 
 
-def _vec(v: tuple[int, int]) -> str:
-    return f"({v[0]},{v[1]})"
+def _vecs(vectors: Iterable[tuple[int, int]]) -> str:
+    return " ".join(f"({b},{c})" for b, c in vectors)
 
 
-def _factors_text(m: Modulus) -> str:
-    return " * ".join(f"{p}^{mult}" if mult > 1 else str(p) for p, mult in m.factors)
+def _point_line(p: Point, d: int) -> str:
+    return f"point {p.label(d)} = {_vecs(p.sorted_members())}"
+
+
+def _emit(fmt: str, record: Any, text: Callable[[], list[str]],
+          rows: Callable[[], list[Sequence[Any]]] | None = None) -> None:
+    """Print one command's output in the requested format; CSV rows start with the header."""
+    if fmt == "json":
+        out = json.dumps(record, indent=2, default=lambda o: o.to_json_dict())
+    elif fmt == "csv" and rows is not None:
+        out = "\n".join(_csv_line(r) for r in rows())
+    else:
+        out = "\n".join(text())
+    sys.stdout.write(out + "\n")
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
     m = make_modulus(args.d)
     phi = unit_count(m)
-    if args.format == "json":
-        obj = m.to_json_dict()
-        obj["unit_count"] = phi
-        _print(_json(obj))
-    elif args.format == "csv":
-        idem = " ".join(str(e) for e in m.idempotents) if m.idempotents else ""
-        factors = " ".join(f"{p}^{mult}" if mult > 1 else str(p) for p, mult in m.factors)
-        _print(_csv(
-            ["d", "factors", "square_free", "unit_count", "idempotents"],
-            [[m.d, factors, _bool(m.square_free), phi, idem]],
-        ))
-    else:
-        lines = [
-            f"d = {m.d}",
-            f"factors = {_factors_text(m)}",
-            f"square_free = {_bool(m.square_free)}",
-            f"unit_count = {phi}",
-        ]
-        if m.idempotents is not None:
-            lines.append("idempotents = " + " ".join(str(e) for e in m.idempotents))
-        _print("\n".join(lines))
+    terms = [f"{p}^{mult}" if mult > 1 else str(p) for p, mult in m.factors]
+    idem = None if m.idempotents is None else " ".join(map(str, m.idempotents))
+    _emit(args.format, {**m.to_json_dict(), "unit_count": phi},
+          lambda: _kv(("d", m.d), ("factors", " * ".join(terms)), ("square_free", m.square_free),
+                      ("unit_count", phi), ("idempotents", idem)),
+          lambda: [("d", "factors", "square_free", "unit_count", "idempotents"),
+                   (m.d, " ".join(terms), m.square_free, phi, idem)])
     return 0
 
 
@@ -85,39 +92,18 @@ def cmd_perp(args: argparse.Namespace) -> int:
         size_formula = projline.perp_size_formula(v, m)
         count_formula = projline.point_count_formula(v, m)
         union_ok = projline.perp_as_point_union(v, m) == ps.members
-    if args.format == "json":
-        obj: dict[str, Any] = {
-            "d": m.d,
-            "vector": list(v),
-            "perp": ps.to_json_dict(),
-            "perp_size_formula": size_formula,
-            "points_count": len(points) if points is not None else None,
-            "points_count_formula": count_formula,
-            "points": [p.to_json_dict() for p in points] if points is not None else None,
-            "union_equals_perp": union_ok,
-        }
-        _print(_json(obj))
-    elif args.format == "csv":
-        _print(_csv(["b", "c"], [[b, c] for b, c in ps.sorted_members()]))
-    else:
-        lines = [
-            f"d = {m.d}",
-            f"vector = ({v[0]}, {v[1]})",
-            f"perp_size = {ps.size}",
-        ]
-        if m.square_free:
-            lines.append(f"perp_size_formula = {size_formula}")
-        lines.append("members = " + " ".join(_vec(w) for w in ps.sorted_members()))
-        if m.square_free:
-            assert points is not None
-            lines.append(f"points_containing = {len(points)}")
-            lines.append(f"points_formula = {count_formula}")
-            for p in points:
-                lines.append(
-                    f"point {p.label(m.d)} = " + " ".join(_vec(w) for w in p.sorted_members())
-                )
-            lines.append(f"union_equals_perp = {_bool(bool(union_ok))}")
-        _print("\n".join(lines))
+    n_points = len(points) if points is not None else None
+    record = {"d": m.d, "vector": v, "perp": ps, "perp_size_formula": size_formula,
+              "points_count": n_points, "points_count_formula": count_formula,
+              "points": points, "union_equals_perp": union_ok}
+    _emit(args.format, record,
+          lambda: [*_kv(("d", m.d), ("vector", v), ("perp_size", ps.size),
+                        ("perp_size_formula", size_formula),
+                        ("members", _vecs(ps.sorted_members())),
+                        ("points_containing", n_points), ("points_formula", count_formula)),
+                   *(_point_line(p, m.d) for p in points or ()),
+                   *_kv(("union_equals_perp", union_ok))],
+          lambda: [("b", "c"), *ps.sorted_members()])
     return 0
 
 
@@ -125,27 +111,12 @@ def cmd_points(args: argparse.Namespace) -> int:
     m = make_modulus(args.d)
     pts = projline.enumerate_points(m)
     formula = projline.line_size_formula(m) if m.square_free else None
-    if args.format == "json":
-        obj = {
-            "d": m.d,
-            "count": len(pts),
-            "count_formula": formula,
-            "points": [p.to_json_dict() for p in pts],
-        }
-        _print(_json(obj))
-    elif args.format == "csv":
-        rows = [
-            [p.generator[0], p.generator[1], " ".join(f"{b}:{c}" for b, c in p.sorted_members())]
-            for p in pts
-        ]
-        _print(_csv(["generator_b", "generator_c", "members"], rows))
-    else:
-        lines = [f"d = {m.d}", f"points = {len(pts)}"]
-        if formula is not None:
-            lines.append(f"points_formula = {formula}")
-        for p in pts:
-            lines.append(f"point {p.label(m.d)} = " + " ".join(_vec(w) for w in p.sorted_members()))
-        _print("\n".join(lines))
+    _emit(args.format, {"d": m.d, "count": len(pts), "count_formula": formula, "points": pts},
+          lambda: [*_kv(("d", m.d), ("points", len(pts)), ("points_formula", formula)),
+                   *(_point_line(p, m.d) for p in pts)],
+          lambda: [("generator_b", "generator_c", "members"),
+                   *((*p.generator, " ".join(f"{b}:{c}" for b, c in p.sorted_members()))
+                     for p in pts)])
     return 0
 
 
@@ -157,53 +128,21 @@ def cmd_commute(args: argparse.Namespace) -> int:
     commuting = exponent == 0
     matrix_agrees = None
     if args.matrix:
+        # W1 W2 = omega^k W2 W1 must hold for exactly the reported exponent k
         m1, m2 = pauli.to_matrix(w1, m), pauli.to_matrix(w2, m)
-        matrix_agrees = (m1 @ m2 == m2 @ m1) == commuting
-    if args.format == "json":
-        obj = {
-            "d": m.d,
-            "w1": pauli.pauli_json_dict(w1, m),
-            "w2": pauli.pauli_json_dict(w2, m),
-            "commutator_exponent": exponent,
-            "commutes": commuting,
-            "w1_pretty": pauli.format_pauli(w1),
-            "w2_pretty": pauli.format_pauli(w2),
-            "matrix_agrees": matrix_agrees,
-        }
-        _print(_json(obj))
-    elif args.format == "csv":
-        cell = "" if matrix_agrees is None else _bool(matrix_agrees)
-        _print(_csv(
-            ["commutator_exponent", "commutes", "matrix_agrees"],
-            [[exponent, _bool(commuting), cell]],
-        ))
-    else:
-        lines = [
-            f"d = {m.d}",
-            f"w1 = ({w1.a}, {w1.b}, {w1.c})",
-            f"w2 = ({w2.a}, {w2.b}, {w2.c})",
-        ]
-        if args.pretty:
-            lines.append(f"w1_pretty = {pauli.format_pauli(w1)}")
-            lines.append(f"w2_pretty = {pauli.format_pauli(w2)}")
-        lines.append(f"commutator_exponent = {exponent}")
-        lines.append(f"commutes = {_bool(commuting)}")
-        if matrix_agrees is not None:
-            lines.append(f"matrix_agrees = {_bool(matrix_agrees)}")
-        _print("\n".join(lines))
-    if matrix_agrees is False:
-        return 1
-    return 0
-
-
-def _brute_commutant(v: tuple[int, int], m: Modulus) -> int:
-    # commutation never sees the omega-exponent, so counting orthogonal
-    # (b', c') classes and scaling by d is the exact operator count
-    d = m.d
-    orthogonal = sum(
-        1 for b in range(d) for c in range(d) if symplectic.form(v, (b, c), m) == 0
-    )
-    return d * orthogonal
+        matrix_agrees = m1 @ m2 == pauli.to_matrix(PauliOp(exponent, 0, 0), m) @ m2 @ m1
+    pretty1, pretty2 = pauli.format_pauli(w1), pauli.format_pauli(w2)
+    record = {"d": m.d, "w1": pauli.pauli_json_dict(w1, m), "w2": pauli.pauli_json_dict(w2, m),
+              "commutator_exponent": exponent, "commutes": commuting,
+              "w1_pretty": pretty1, "w2_pretty": pretty2, "matrix_agrees": matrix_agrees}
+    _emit(args.format, record,
+          lambda: _kv(("d", m.d), ("w1", tuple(w1)), ("w2", tuple(w2)),
+                      ("w1_pretty", pretty1 if args.pretty else None),
+                      ("w2_pretty", pretty2 if args.pretty else None),
+                      ("commutator_exponent", exponent), ("commutes", commuting),
+                      ("matrix_agrees", matrix_agrees)),
+          lambda: _one_row(record, "commutator_exponent", "commutes", "matrix_agrees"))
+    return 1 if matrix_agrees is False else 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -219,43 +158,20 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.brute:
         if m.d > pauli.CLOSURE_LIMIT:
             raise ValueError(f"--brute is bounded to d <= {pauli.CLOSURE_LIMIT}, got d={m.d}")
-        brute = _brute_commutant(v, m)
-    if args.format == "json":
-        obj = {
-            "d": m.d,
-            "vector": list(v),
-            "perp_size_formula": size_formula,
-            "commutant_formula": formula,
-            "commutant_brute": brute,
-        }
-        _print(_json(obj))
-    elif args.format == "csv":
-        _print(_csv(
-            ["perp_size_formula", "commutant_formula", "commutant_brute"],
-            [[size_formula, formula, "" if brute is None else brute]],
-        ))
-    else:
-        lines = [
-            f"d = {m.d}",
-            f"vector = ({v[0]}, {v[1]})",
-            f"perp_size_formula = {size_formula}",
-            f"commutant_formula = {formula}",
-        ]
-        if brute is not None:
-            lines.append(f"commutant_brute = {brute}")
-        _print("\n".join(lines))
-    if brute is not None and brute != formula:
-        return 1
-    return 0
+        # commutation never sees the omega-exponent, so each orthogonal
+        # (b', c') class holds exactly d commuting operators
+        brute = m.d * symplectic.perp_set(v, m).size
+    record = {"d": m.d, "vector": v, "perp_size_formula": size_formula,
+              "commutant_formula": formula, "commutant_brute": brute}
+    _emit(args.format, record,
+          lambda: _kv(*record.items()),
+          lambda: _one_row(record, "perp_size_formula", "commutant_formula", "commutant_brute"))
+    return 1 if brute is not None and brute != formula else 0
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    m = make_modulus(args.d)
-    graph = projline.neighbour_graph(m)
-    if args.format == "json":
-        _print(_json(graph.to_json_dict()))
-    else:
-        _print(graph.to_dot())
+    graph = projline.neighbour_graph(make_modulus(args.d))
+    _emit(args.format, graph, lambda: [graph.to_dot()])
     return 0
 
 
@@ -263,12 +179,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     m = make_modulus(args.d)
     names = args.checks.split(",") if args.checks else None
     report = oracle.verify_all(m, checks=names)
-    if args.format == "json":
-        _print(_json(report.to_json_dict(include_elapsed=args.timings)))
-    elif args.format == "csv":
-        rows = [[c.name, c.status, c.scope] for c in report.checks]
-        _print(_csv(["name", "status", "scope"], rows))
-    else:
+
+    def text() -> list[str]:
         lines = [f"d = {m.d}"]
         for c in report.checks:
             line = f"{c.status.upper():4s} {c.name}  {c.scope}"
@@ -277,8 +189,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if c.counterexample is not None:
                 line += "\n  counterexample: " + json.dumps(c.counterexample)
             lines.append(line)
-        lines.append(f"all_passed = {_bool(report.all_passed)}")
-        _print("\n".join(lines))
+        return lines + _kv(("all_passed", report.all_passed))
+
+    _emit(args.format, report.to_json_dict(include_elapsed=args.timings), text,
+          lambda: [("name", "status", "scope"),
+                   *((c.name, c.status, c.scope) for c in report.checks)])
     return 0 if report.all_passed else 1
 
 

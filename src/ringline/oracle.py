@@ -311,14 +311,10 @@ def verify_group(m: Modulus) -> CheckResult:
             }
 
         if m.square_free:
-            perp_count = {
-                vc: sum(1 for other in classes if symplectic.form(vc, other, m) == 0)
-                for vc in classes
-            }
             for b, c in classes:
-                # commutation ignores omega-exponents, so one row per class
+                # commutation ignores omega-exponents, so one perp-set per class
                 # settles all d operators (a, b, c) at once
-                brute = d * perp_count[(b, c)]
+                brute = d * symplectic.perp_set((b, c), m).size
                 expected = pauli.commuting_count(PauliOp(0, b, c), m)
                 if brute != expected:
                     return {

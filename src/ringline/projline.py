@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
@@ -33,26 +33,18 @@ def cyclic_submodule(v: Vector2, m: Modulus) -> frozenset[Vector2]:
     return frozenset(((u * v[0]) % d, (u * v[1]) % d) for u in range(d))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Point:
     """A free cyclic submodule of Z_d^2 (a point of the line).
 
     ``generator`` is canonical: the lexicographically smallest admissible
-    member.  Equality and hashing go through the member set, because two
-    admissible vectors generate the same point exactly when they differ by a
-    unit factor.
+    member.  Equality and hashing go through the generator alone.  That agrees
+    with member-set equality because Points are built only by
+    ``point_through`` and by enumeration, and both store the canonical member.
     """
 
     generator: Vector2
-    members: frozenset[Vector2]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
+    members: frozenset[Vector2] = field(compare=False)
 
     def label(self, d: int) -> str:
         return f"Z{d}({self.generator[0]},{self.generator[1]})"

@@ -7,19 +7,6 @@ from dataclasses import dataclass
 from typing import Any
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 @dataclass(frozen=True)
 class Modulus:
     """A factored modulus d > 1, the arithmetic context threaded through everything.
@@ -58,9 +45,8 @@ class Modulus:
 def make_modulus(d: int) -> Modulus:
     """Factor d by trial division; for square-free d also solve the idempotent congruences.
 
-    Each idempotent comes from extended Euclid on (p_k, d/p_k): writing
-    p_k*x + (d/p_k)*y = 1 gives e_k = (d/p_k)*y, which is 1 mod p_k and 0 mod
-    the cofactor.  Trial division is plenty here; d is desk-scale.
+    Each idempotent is e_k = q * (q^-1 mod p_k) with q = d/p_k, which is 1 mod
+    p_k and 0 mod the cofactor.  Trial division is plenty here; d is desk-scale.
     """
     if d <= 1:
         raise ValueError(f"modulus must be an integer > 1, got {d}")
@@ -80,12 +66,7 @@ def make_modulus(d: int) -> Modulus:
     square_free = all(mult == 1 for _, mult in factors)
     idempotents: tuple[int, ...] | None = None
     if square_free:
-        es = []
-        for p, _ in factors:
-            q = d // p
-            _, _, y = ext_gcd(p, q)
-            es.append((q * y) % d)
-        idempotents = tuple(es)
+        idempotents = tuple((d // p) * pow(d // p, -1, p) % d for p, _ in factors)
     return Modulus(d=d, factors=tuple(factors), square_free=square_free, idempotents=idempotents)
 
 
@@ -122,9 +103,9 @@ def component(y: int, k: int, m: Modulus) -> int:
 
 
 def invert(x: int, m: Modulus) -> int:
-    """The inverse of x in Z_d via extended Euclid; rejects non-units."""
+    """The inverse of x in Z_d; rejects non-units."""
     x = x % m.d
-    g, u, _ = ext_gcd(x, m.d)
+    g = math.gcd(x, m.d)
     if g != 1:
         raise ValueError(f"{x} is not a unit mod {m.d}: gcd({x}, {m.d}) = {g}")
-    return u % m.d
+    return pow(x, -1, m.d)

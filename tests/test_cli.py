@@ -3,15 +3,25 @@ import pathlib
 
 import pytest
 
+from ringline import symplectic
 from ringline.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# argv -> exact stdout and exit code: every command in every format at
+# d in {6, 7, 12}, plus --pretty, --matrix, --brute, --checks and usage errors
+CLI_OUTPUTS = json.loads((GOLDEN / "cli_outputs.json").read_text())
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_OUTPUTS))
+def test_output_matrix_matches_golden(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert (code, out) == (CLI_OUTPUTS[argv]["exit"], CLI_OUTPUTS[argv]["stdout"])
 
 
 def test_factor_text(capsys):
@@ -192,6 +202,28 @@ def test_commute_matrix_and_pretty(capsys):
     assert "w1_pretty = Z" in out
     assert "w2_pretty = X" in out
     assert "matrix_agrees = true" in out
+
+
+def test_commute_matrix_agrees_for_every_exponent(capsys):
+    # --matrix checks W1 W2 = omega^k W2 W1 for the reported k, so it must
+    # agree for every exponent k, not just on the commute/not-commute verdict;
+    # against X, Z and XZ the exponents c, -b and c - b reach every residue
+    for b in range(6):
+        for c in range(6):
+            for b2, c2 in ((1, 0), (0, 1), (1, 1)):
+                argv = ("commute", "6", "1", str(b), str(c), "0", str(b2), str(c2), "--matrix")
+                code, out, _ = run(capsys, *argv)
+                assert (code, out.splitlines()[-1]) == (0, "matrix_agrees = true"), argv
+
+
+def test_commute_matrix_catches_flipped_form_sign(capsys, monkeypatch):
+    # a sign-flipped form negates every commutator exponent but keeps every
+    # commute/not-commute verdict; the matrix cross-check must still fail
+    monkeypatch.setattr(symplectic, "form", lambda v, w, m: (w[1] * v[0] - v[1] * w[0]) % m.d)
+    code, out, _ = run(capsys, "commute", "6", "0", "0", "1", "0", "1", "0", "--matrix")
+    assert code == 1
+    assert "commutator_exponent = 5" in out
+    assert "matrix_agrees = false" in out
 
 
 def test_commute_json(capsys):

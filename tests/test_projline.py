@@ -92,6 +92,22 @@ def test_point_equality_is_member_set_equality():
     assert point_through((5, 0), m6) == point_through((1, 0), m6)
     assert point_through((1, 0), m6) != point_through((0, 1), m6)
     assert len({point_through((5, 3), m6), point_through((1, 3), m6)}) == 1
+    # equality and hashing use the canonical generator only; over every point
+    # they must agree with member-set equality, and point_through must land on
+    # the enumerated point for every admissible vector
+    for d in (6, 12, 30):
+        m = make_modulus(d)
+        pts = enumerate_points(m)
+        for p in pts:
+            for q in pts:
+                assert (p == q) == (p.members == q.members)
+        through = {v: p for p in pts for v in p.members if is_admissible(v, m)}
+        for b in range(d):
+            for c in range(d):
+                if is_admissible((b, c), m):
+                    p = point_through((b, c), m)
+                    assert p == through[(b, c)]
+                    assert hash(p) == hash(through[(b, c)])
 
 
 def test_point_structure():
