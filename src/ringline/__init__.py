@@ -8,99 +8,50 @@ exponent.  All values are immutable; every operation is a pure function, safe
 to call from any number of concurrent workers.
 """
 
-from .oracle import (
-    CheckResult,
-    VerificationReport,
-    construct_witness,
-    verify_all,
-    verify_group,
-    verify_theorem1,
-    verify_theorem2,
-    verify_witness_construction,
-)
-from .pauli import (
-    IDENTITY,
-    X,
-    Z,
-    GenPermMatrix,
-    PauliOp,
-    centre,
-    commutator,
-    commutes,
-    commuting_count,
-    format_pauli,
-    group_closure_order,
-    inverse,
-    multiply,
-    to_matrix,
-)
-from .projline import (
-    NeighbourGraph,
-    Point,
-    cyclic_submodule,
-    enumerate_points,
-    index_set_K,
-    is_admissible,
-    is_distant,
-    line_size_formula,
-    neighbour_graph,
-    perp_as_point_union,
-    perp_size_formula,
-    point_count_formula,
-    point_through,
-    points_containing,
-)
-from .ring import Modulus, component, invert, is_unit, make_modulus, unit_count
-from .symplectic import PerpSet, Vector2, form, is_perp, perp_set
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "GenPermMatrix",
-    "IDENTITY",
-    "Modulus",
-    "NeighbourGraph",
-    "PauliOp",
-    "PerpSet",
-    "Point",
-    "VerificationReport",
-    "Vector2",
-    "X",
-    "Z",
-    "centre",
-    "commutator",
-    "commutes",
-    "commuting_count",
-    "component",
-    "construct_witness",
-    "cyclic_submodule",
-    "enumerate_points",
-    "form",
-    "format_pauli",
-    "group_closure_order",
-    "index_set_K",
-    "invert",
-    "inverse",
-    "is_admissible",
-    "is_distant",
-    "is_perp",
-    "is_unit",
-    "line_size_formula",
-    "make_modulus",
-    "multiply",
-    "neighbour_graph",
-    "perp_as_point_union",
-    "perp_set",
-    "perp_size_formula",
-    "point_count_formula",
-    "point_through",
-    "points_containing",
-    "to_matrix",
-    "unit_count",
-    "verify_all",
-    "verify_group",
-    "verify_theorem1",
-    "verify_theorem2",
-    "verify_witness_construction",
-]
+# Public names by defining submodule.  Names and submodules are imported on
+# first access (PEP 562), so ``import ringline`` and a CLI command load only
+# the layers they use.
+_EXPORTS = {
+    "oracle": (
+        "CheckResult", "VerificationReport", "construct_witness", "verify_all",
+        "verify_group", "verify_theorem1", "verify_theorem2", "verify_witness_construction",
+    ),
+    "pauli": (
+        "IDENTITY", "X", "Z", "GenPermMatrix", "PauliOp", "centre", "commutator", "commutes",
+        "commuting_count", "format_pauli", "group_closure_order", "inverse", "multiply",
+        "to_matrix",
+    ),
+    "projline": (
+        "NeighbourGraph", "Point", "cyclic_submodule", "enumerate_points", "index_set_K",
+        "is_admissible", "is_distant", "line_size_formula", "neighbour_graph",
+        "perp_as_point_union", "perp_size_formula", "point_count_formula", "point_through",
+        "points_containing",
+    ),
+    "ring": ("Modulus", "component", "invert", "is_unit", "make_modulus", "unit_count"),
+    "symplectic": ("PerpSet", "Vector2", "form", "is_perp", "perp_set"),
+}
+_SUBMODULES = ("cli", *_EXPORTS)
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULES, *__all__})

@@ -10,21 +10,26 @@ specifies, and hands it to ``_emit`` with two views derived from it: text
 lines and CSV rows.  The views are functions, so only the requested format is
 ever rendered; JSON is the record itself, with library objects serialized
 through their ``to_json_dict``.
+
+Each command imports the layers it uses when it runs, so a request loads only
+those: ``factor`` needs ``ring`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from . import oracle, pauli, projline, symplectic
-from .pauli import PauliOp
-from .projline import Point
 from .ring import make_modulus, unit_count
+
+if TYPE_CHECKING:
+    from .projline import Point
+
+# oracle.CHECK_NAMES (a test keeps the two equal), spelled out so that building
+# the parser does not import the oracle and every layer below it.
+_CHECK_NAMES = "group,theorem1,theorem2,witness_construction"
 
 
 def _cell(value: Any) -> str:
@@ -39,6 +44,8 @@ def _kv(*pairs: tuple[str, Any]) -> list[str]:
 
 
 def _csv_line(cells: Iterable[Any]) -> str:
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow([_cell(c) for c in cells])
     return buf.getvalue()
@@ -61,6 +68,8 @@ def _emit(fmt: str, record: Any, text: Callable[[], list[str]],
           rows: Callable[[], list[Sequence[Any]]] | None = None) -> None:
     """Print one command's output in the requested format; CSV rows start with the header."""
     if fmt == "json":
+        import json
+
         out = json.dumps(record, indent=2, default=lambda o: o.to_json_dict())
     elif fmt == "csv" and rows is not None:
         out = "\n".join(_csv_line(r) for r in rows())
@@ -83,6 +92,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_perp(args: argparse.Namespace) -> int:
+    from . import projline, symplectic
+
     m = make_modulus(args.d)
     v = (args.b % m.d, args.c % m.d)
     ps = symplectic.perp_set(v, m)
@@ -108,6 +119,8 @@ def cmd_perp(args: argparse.Namespace) -> int:
 
 
 def cmd_points(args: argparse.Namespace) -> int:
+    from . import projline
+
     m = make_modulus(args.d)
     pts = projline.enumerate_points(m)
     formula = projline.line_size_formula(m) if m.square_free else None
@@ -121,16 +134,18 @@ def cmd_points(args: argparse.Namespace) -> int:
 
 
 def cmd_commute(args: argparse.Namespace) -> int:
+    from . import pauli
+
     m = make_modulus(args.d)
-    w1 = pauli.reduce_op(PauliOp(args.a, args.b, args.c), m)
-    w2 = pauli.reduce_op(PauliOp(args.a2, args.b2, args.c2), m)
+    w1 = pauli.reduce_op(pauli.PauliOp(args.a, args.b, args.c), m)
+    w2 = pauli.reduce_op(pauli.PauliOp(args.a2, args.b2, args.c2), m)
     exponent = pauli.commutator(w1, w2, m).a
     commuting = exponent == 0
     matrix_agrees = None
     if args.matrix:
         # W1 W2 = omega^k W2 W1 must hold for exactly the reported exponent k
         m1, m2 = pauli.to_matrix(w1, m), pauli.to_matrix(w2, m)
-        matrix_agrees = m1 @ m2 == pauli.to_matrix(PauliOp(exponent, 0, 0), m) @ m2 @ m1
+        matrix_agrees = m1 @ m2 == pauli.to_matrix(pauli.PauliOp(exponent, 0, 0), m) @ m2 @ m1
     pretty1, pretty2 = pauli.format_pauli(w1), pauli.format_pauli(w2)
     record = {"d": m.d, "w1": pauli.pauli_json_dict(w1, m), "w2": pauli.pauli_json_dict(w2, m),
               "commutator_exponent": exponent, "commutes": commuting,
@@ -146,6 +161,8 @@ def cmd_commute(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from . import projline
+
     m = make_modulus(args.d)
     if not m.square_free:
         raise ValueError(
@@ -156,6 +173,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     formula = m.d * size_formula
     brute = None
     if args.brute:
+        from . import pauli, symplectic
+
         if m.d > pauli.CLOSURE_LIMIT:
             raise ValueError(f"--brute is bounded to d <= {pauli.CLOSURE_LIMIT}, got d={m.d}")
         # commutation never sees the omega-exponent, so each orthogonal
@@ -170,12 +189,18 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    from . import projline
+
     graph = projline.neighbour_graph(make_modulus(args.d))
     _emit(args.format, graph, lambda: [graph.to_dot()])
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
+    from . import oracle
+
     m = make_modulus(args.d)
     names = args.checks.split(",") if args.checks else None
     report = oracle.verify_all(m, checks=names)
@@ -258,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the exhaustive verification checks")
     p.add_argument("d", type=int)
     p.add_argument("--checks", type=str, default=None,
-                   help="comma-separated subset of: " + ",".join(oracle.CHECK_NAMES))
+                   help="comma-separated subset of: " + _CHECK_NAMES)
     p.add_argument("--timings", action="store_true",
                    help="include per-check timings (makes output run-dependent)")
     add_format(p, ("text", "json", "csv"), "text")

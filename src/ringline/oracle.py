@@ -89,7 +89,8 @@ def _vectors(d: int) -> list[tuple[int, int]]:
 
 def verify_theorem1(m: Modulus) -> CheckResult:
     """Every point through a vector lies inside its perp-set; for admissible
-    vectors the perp-set equals the (unique) point itself.  Any d."""
+    vectors the perp-set equals the point itself, and exactly one enumerated
+    point contains the vector.  Any d."""
     d = m.d
 
     def body() -> Counterexample | None:
@@ -121,6 +122,13 @@ def verify_theorem1(m: Modulus) -> CheckResult:
                             "vector": list(v),
                             "point": p.to_json_dict(),
                         }
+                if len(containing) != 1:
+                    return {
+                        "claim": f"admissible vector lies in {len(containing)} points, "
+                                 "expected exactly 1",
+                        "vector": list(v),
+                        "generators": [list(p.generator) for p in containing],
+                    }
         return None
 
     return _timed("theorem1", f"all {d * d} vectors of Z_{d}^2", body)

@@ -70,21 +70,24 @@ def point_through(v: Vector2, m: Modulus) -> Point:
     return Point(generator=gen, members=members)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _points_cached(m: Modulus) -> tuple[Point, ...]:
-    # Lexicographic scan: the first uncovered admissible vector of each orbit is
-    # its lex-smallest admissible member, hence already canonical.
+    # The admissible members of Z_d*(b, c) are its unit multiples, so the
+    # lex-smallest one sits in row g = gcd(b, d) (row 0 when g = d).  In row g,
+    # (g, c) and (g, c') share a point iff c' = u*c for a unit u = 1 mod d/g:
+    # visit those rows only, and mark each orbit's row-g members as it is found.
     d = m.d
-    covered: set[Vector2] = set()
     points: list[Point] = []
-    for b in range(d):
+    for g in [0] + [g for g in range(1, d) if d % g == 0]:
+        step = d // g if g else 1
+        units = [u for u in range(1, d, step) if math.gcd(u, d) == 1]
+        seen = bytearray(d)
         for c in range(d):
-            v = (b, c)
-            if v in covered or not is_admissible(v, m):
+            if seen[c] or math.gcd(g, c, d) != 1:
                 continue
-            members = cyclic_submodule(v, m)
-            points.append(Point(generator=v, members=members))
-            covered.update(w for w in members if is_admissible(w, m))
+            for u in units:
+                seen[u * c % d] = 1
+            points.append(Point(generator=(g, c), members=cyclic_submodule((g, c), m)))
     return tuple(points)
 
 

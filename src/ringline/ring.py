@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
@@ -42,27 +43,94 @@ class Modulus:
         }
 
 
+# The first 13 primes.  Miller-Rabin with these bases is exact below
+# _MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 2017).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < _MR_EXACT_BELOW with no prime factor <= 41."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    odd = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite n with no prime factor <= 41 (Pollard-Brent rho,
+    Brent, BIT 1980): x -> x^2 + c, with c = 1, 2, ... until a factor splits off."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: step again one at a time from ys
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n > 1, with repetition, when no prime <= 41 divides n."""
+    if n < 43 * 43 or _is_prime(n):
+        return [n]
+    f = _rho(n)
+    return _prime_factors(f) + _prime_factors(n // f)
+
+
 def make_modulus(d: int) -> Modulus:
-    """Factor d by trial division; for square-free d also solve the idempotent congruences.
+    """Factor d; for square-free d also solve the idempotent congruences.
+
+    Trial division by the primes up to 41 leaves a cofactor n with no small
+    prime factor.  Deterministic Miller-Rabin settles which parts of n are
+    prime in polylog(n) time, and Pollard-Brent rho splits the composite parts
+    in about n^(1/4) steps.  Miller-Rabin on these bases is proved exact only
+    below 3317044064679887385961981, so a larger n is rejected with ValueError.
 
     Each idempotent is e_k = q * (q^-1 mod p_k) with q = d/p_k, which is 1 mod
-    p_k and 0 mod the cofactor.  Trial division is plenty here; d is desk-scale.
+    p_k and 0 mod the cofactor.
     """
     if d <= 1:
         raise ValueError(f"modulus must be an integer > 1, got {d}")
-    factors: list[tuple[int, int]] = []
+    counts: Counter[int] = Counter()
     n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            mult = 0
-            while n % p == 0:
-                n //= p
-                mult += 1
-            factors.append((p, mult))
-        p += 1
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            counts[p] += 1
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot factor d={d} exactly: after removing the primes up to 41 the cofactor "
+            f"{n} is not below {_MR_EXACT_BELOW}, the bound of deterministic Miller-Rabin"
+        )
     if n > 1:
-        factors.append((n, 1))
+        counts.update(_prime_factors(n))
+    factors = sorted(counts.items())
     square_free = all(mult == 1 for _, mult in factors)
     idempotents: tuple[int, ...] | None = None
     if square_free:

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from ringline import symplectic
+from ringline import oracle, symplectic
 from ringline.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -339,6 +339,12 @@ def test_verify_timings_flag_adds_elapsed(capsys):
     code, out, _ = run(capsys, "verify", "6", "--checks", "theorem1", "--format", "json", "--timings")
     assert code == 0
     assert "elapsed" in json.loads(out)["checks"][0]
+
+
+def test_verify_help_lists_the_oracle_check_names(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert ",".join(oracle.CHECK_NAMES) in " ".join(out.split())
 
 
 def test_verify_csv(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+import ringline.projline
 import ringline.symplectic
 from ringline.oracle import (
     CHECK_NAMES,
@@ -165,3 +166,19 @@ def test_failed_entry_always_carries_a_witness(monkeypatch):
         assert entry.status == "fail"
         assert isinstance(entry.counterexample, dict)
         assert "claim" in entry.counterexample
+
+
+@pytest.mark.parametrize("d", [12, 18, 30])
+@pytest.mark.parametrize("fault", ["drop", "duplicate"])
+def test_theorem1_catches_a_dropped_or_duplicated_point(monkeypatch, d, fault):
+    # fault: the enumeration loses its last point, or lists it twice
+    points = ringline.projline._points_cached(make_modulus(d))
+    planted = points[:-1] if fault == "drop" else points + points[-1:]
+    monkeypatch.setattr(ringline.projline, "_points_cached", lambda m: planted)
+    entry = verify_theorem1(make_modulus(d))
+    assert entry.status == "fail"
+    assert entry.counterexample["claim"] == (
+        f"admissible vector lies in {0 if fault == 'drop' else 2} points, expected exactly 1"
+    )
+    generators = entry.counterexample["generators"]
+    assert generators == ([] if fault == "drop" else [list(points[-1].generator)] * 2)

@@ -3,7 +3,9 @@ import pathlib
 
 import pytest
 
+from ringline import projline
 from ringline.projline import (
+    Point,
     cyclic_submodule,
     enumerate_points,
     index_set_K,
@@ -154,6 +156,54 @@ def test_enumerate_points_partitions_admissible_vectors():
             else:
                 assert all(v != p.generator for p in pts)
         assert len({p.members for p in pts}) == len(pts)
+
+
+def reference_points(m):
+    # the lexicographic scan over all of Z_d^2: the first uncovered admissible
+    # vector of each orbit is its lex-smallest admissible member
+    d = m.d
+    covered, points = set(), []
+    for b in range(d):
+        for c in range(d):
+            v = (b, c)
+            if v in covered or not is_admissible(v, m):
+                continue
+            members = cyclic_submodule(v, m)
+            points.append(Point(generator=v, members=members))
+            covered.update(w for w in members if is_admissible(w, m))
+    return points
+
+
+def test_enumerate_points_matches_reference_scan():
+    for d in range(2, 151):
+        m = make_modulus(d)
+        got, want = enumerate_points(m), reference_points(m)
+        assert [p.generator for p in got] == [p.generator for p in want], d
+        assert [p.members for p in got] == [p.members for p in want], d
+
+
+def test_point_count_is_dedekind_psi_for_every_d():
+    # |line| = d * prod over p | d of (1 + 1/p), square-free or not
+    for d in range(2, 151):
+        m = make_modulus(d)
+        psi = d
+        for p in m.primes:
+            psi = psi // p * (p + 1)
+        assert len(enumerate_points(m)) == psi, d
+
+
+def test_point_cache_is_bounded():
+    projline._points_cached.cache_clear()
+    first = make_modulus(7)
+    built = enumerate_points(first)
+    for d in range(8, 16):
+        enumerate_points(make_modulus(d))
+    info = projline._points_cached.cache_info()
+    assert (info.maxsize, info.currsize) == (8, 8)
+    # d = 7 was evicted; it rebuilds to an equal tuple
+    rebuilt = enumerate_points(first)
+    assert projline._points_cached.cache_info().misses == info.misses + 1
+    assert [(p.generator, p.members) for p in rebuilt] == [(p.generator, p.members) for p in built]
 
 
 def test_point_count_formula_up_to_105():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -52,11 +53,47 @@ def test_factorization_reconstructs_d():
         prod = 1
         for p, mult in m.factors:
             prod *= p**mult
-            # trial division can only emit primes, but re-verify anyway
             assert all(p % q for q in range(2, int(p**0.5) + 1))
         assert prod == d
         assert list(m.primes) == sorted(m.primes)
         assert m.square_free == all(mult == 1 for _, mult in m.factors)
+
+
+def trial_division(d):
+    # reference factorization: every candidate divisor up to sqrt of the cofactor
+    factors, p = [], 2
+    while p * p <= d:
+        mult = 0
+        while d % p == 0:
+            d //= p
+            mult += 1
+        if mult:
+            factors.append((p, mult))
+        p += 1
+    return tuple(factors) + (((d, 1),) if d > 1 else ())
+
+
+def test_factorization_matches_trial_division():
+    for d in range(2, 20001):
+        assert make_modulus(d).factors == trial_division(d), d
+    # products of two primes near 10^6 (and squares), split by rho not trial division
+    for p, q in ((999983, 1000003), (1000003, 1000003), (1000033, 1000037), (43, 1000003)):
+        assert make_modulus(p * q).factors == trial_division(p * q)
+
+
+def test_factor_large_prime_is_fast():
+    start = time.perf_counter()
+    assert make_modulus(2**61 - 1).factors == ((2**61 - 1, 1),)
+    assert make_modulus(3 * 7**2 * (2**61 - 1)).factors == ((3, 1), (7, 2), (2**61 - 1, 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_factor_rejects_cofactor_beyond_exact_primality_bound():
+    # 2^89 - 1 is prime, but Miller-Rabin on bases 2..41 is proved exact only below 3.3e24
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        make_modulus(2**89 - 1)
+    # small primes are removed first, so a large smooth d still factors
+    assert make_modulus(2**100 * 3).factors == ((2, 100), (3, 1))
 
 
 def test_idempotent_identities_exhaustive():
