@@ -137,6 +137,8 @@ def cmd_commute(args: argparse.Namespace) -> int:
     from . import pauli
 
     m = make_modulus(args.d)
+    if args.matrix and m.d > pauli.MATRIX_LIMIT:
+        raise ValueError(f"--matrix is bounded to d <= {pauli.MATRIX_LIMIT}, got d={m.d}")
     w1 = pauli.reduce_op(pauli.PauliOp(args.a, args.b, args.c), m)
     w2 = pauli.reduce_op(pauli.PauliOp(args.a2, args.b2, args.c2), m)
     exponent = pauli.commutator(w1, w2, m).a
@@ -202,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import oracle
 
     m = make_modulus(args.d)
-    names = args.checks.split(",") if args.checks else None
+    names = None if args.checks is None else args.checks.split(",")
     report = oracle.verify_all(m, checks=names)
 
     def text() -> list[str]:

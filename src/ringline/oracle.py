@@ -260,9 +260,10 @@ def verify_witness_construction(m: Modulus) -> CheckResult:
 
 
 def verify_group(m: Modulus) -> CheckResult:
-    """Group-structure checks in one entry: closure order d^3, brute-force
-    centre, commutator set = centre, and (square-free only) exhaustive
-    commutant sizes against the counting formula."""
+    """Closure order d^3, then one pass over all class pairs: every four-fold
+    product W W' W^-1 W'^-1 equals the closed-form commutator, and the same
+    products give the brute-force centre, the commutator set (= centre) and,
+    square-free only, exhaustive commutant sizes against the formula."""
     d = m.d
     if d > pauli.CLOSURE_LIMIT:
         raise ValueError(
@@ -282,54 +283,51 @@ def verify_group(m: Modulus) -> CheckResult:
         if order != d**3:
             return {"claim": "closure of {X, Z} has wrong order", "expected": d**3, "actual": order}
 
-        classes = _vectors(d)
-        central = [
-            vc
-            for vc in classes
-            if all(symplectic.form(vc, other, m) == 0 for other in classes)
-        ]
-        brute_centre = {
-            PauliOp(a, b, c) for a in range(d) for (b, c) in central
-        }
+        # Scalars commute and cancel against their inverses, so class
+        # representatives with omega-exponent 0 cover every operator pair.
+        classes = [(w, pauli.inverse(w, m)) for w in (PauliOp(0, b, c) for b, c in _vectors(d))]
+        comms = set()
+        commuting = []  # per class: how many classes commute with it
+        for w, winv in classes:
+            n = 0
+            for w2, w2inv in classes:
+                prod = pauli.multiply(pauli.multiply(pauli.multiply(w, w2, m), winv, m), w2inv, m)
+                closed = pauli.commutator(w, w2, m)
+                if prod != closed:
+                    return {
+                        "claim": "four-fold product differs from the closed-form commutator",
+                        "w1": list(w),
+                        "w2": list(w2),
+                        "product": list(prod),
+                        "closed_form": list(closed),
+                    }
+                comms.add(prod)
+                n += prod == pauli.IDENTITY
+            commuting.append(n)
+
+        central = [w for (w, _), n in zip(classes, commuting) if n == d * d]
+        brute_centre = {PauliOp(a, w.b, w.c) for w in central for a in range(d)}
         if brute_centre != pauli.centre(m):
             return {
                 "claim": "brute-force centre differs from the scalars",
                 "brute": sorted(list(op) for op in brute_centre),
             }
-
-        # Commutator set via the defining four-fold product.  Scalars commute
-        # and cancel against their inverses, so class representatives with
-        # omega-exponent 0 cover every operator pair.
-        comms = set()
-        for b, c in classes:
-            w = PauliOp(0, b, c)
-            winv = pauli.inverse(w, m)
-            for b2, c2 in classes:
-                w2 = PauliOp(0, b2, c2)
-                prod = pauli.multiply(
-                    pauli.multiply(pauli.multiply(w, w2, m), winv, m),
-                    pauli.inverse(w2, m),
-                    m,
-                )
-                comms.add(prod)
         if comms != pauli.centre(m):
             return {
                 "claim": "commutator set differs from the centre",
                 "commutators": sorted(list(op) for op in comms),
             }
-
         if m.square_free:
-            for b, c in classes:
-                # commutation ignores omega-exponents, so one perp-set per class
-                # settles all d operators (a, b, c) at once
-                brute = d * symplectic.perp_set((b, c), m).size
-                expected = pauli.commuting_count(PauliOp(0, b, c), m)
-                if brute != expected:
+            for (w, _), n in zip(classes, commuting):
+                # commutation ignores omega-exponents, so each commuting class
+                # holds d commuting operators
+                expected = pauli.commuting_count(w, m)
+                if d * n != expected:
                     return {
                         "claim": "exhaustive commutant size differs from formula",
-                        "vector": [b, c],
+                        "vector": [w.b, w.c],
                         "expected": expected,
-                        "actual": brute,
+                        "actual": d * n,
                     }
         return None
 
@@ -337,36 +335,27 @@ def verify_group(m: Modulus) -> CheckResult:
 
 
 def verify_all(m: Modulus, checks: Iterable[str] | None = None) -> VerificationReport:
-    """Run every applicable check (or the named subset), skipping inapplicable
-    ones with an explicit reason, and assemble a deterministic report."""
-    if checks is None:
-        names = set(CHECK_NAMES)
-    else:
-        names = set(checks)
-        unknown = names - set(CHECK_NAMES)
-        if unknown:
-            raise ValueError(
-                f"unknown check names: {sorted(unknown)}; valid names: {list(CHECK_NAMES)}"
-            )
-    results = []
-    if "theorem1" in names:
-        results.append(verify_theorem1(m))
-    if "theorem2" in names:
-        if m.square_free:
-            results.append(verify_theorem2(m))
-        else:
-            results.append(_skipped("theorem2", "skipped: requires square-free d"))
-    if "witness_construction" in names:
-        if m.square_free:
-            results.append(verify_witness_construction(m))
-        else:
-            results.append(_skipped("witness_construction", "skipped: requires square-free d"))
-    if "group" in names:
-        if m.d <= pauli.CLOSURE_LIMIT:
-            results.append(verify_group(m))
-        else:
-            results.append(
-                _skipped("group", f"skipped: group closure is bounded to d <= {pauli.CLOSURE_LIMIT}")
-            )
-    results.sort(key=lambda c: c.name)
-    return VerificationReport(d=m.d, checks=tuple(results))
+    """Run every applicable check (or the named, non-empty subset) in name
+    order, skipping inapplicable ones with an explicit reason."""
+    names = set(CHECK_NAMES if checks is None else checks)
+    if not names:
+        raise ValueError(f"no check selected; valid names: {list(CHECK_NAMES)}")
+    unknown = names - set(CHECK_NAMES)
+    if unknown:
+        raise ValueError(
+            f"unknown check names: {sorted(unknown)}; valid names: {list(CHECK_NAMES)}"
+        )
+    # Built per call, so wrappers set on the module's verify_* attributes take effect.
+    square_free = None if m.square_free else "skipped: requires square-free d"
+    table = (
+        ("group", verify_group, None if m.d <= pauli.CLOSURE_LIMIT
+         else f"skipped: group closure is bounded to d <= {pauli.CLOSURE_LIMIT}"),
+        ("theorem1", verify_theorem1, None),
+        ("theorem2", verify_theorem2, square_free),
+        ("witness_construction", verify_witness_construction, square_free),
+    )
+    return VerificationReport(d=m.d, checks=tuple(
+        check(m) if skip is None else _skipped(name, skip)
+        for name, check, skip in table
+        if name in names
+    ))

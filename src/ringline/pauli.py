@@ -32,6 +32,8 @@ Z = PauliOp(0, 0, 1)
 
 # Group closure materializes all d^3 exact matrices; bounded to keep memory flat.
 CLOSURE_LIMIT = 32
+# Each exact matrix holds 2d ints; a --matrix check at d = 10^5 peaks near 40 MB.
+MATRIX_LIMIT = 10**5
 
 
 def reduce_op(w: PauliOp, m: Modulus) -> PauliOp:

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from ringline import oracle, symplectic
+from ringline import oracle, pauli, symplectic
 from ringline.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -226,6 +226,17 @@ def test_commute_matrix_catches_flipped_form_sign(capsys, monkeypatch):
     assert "matrix_agrees = false" in out
 
 
+def test_commute_matrix_is_bounded(capsys, monkeypatch):
+    # the matrices hold 2d entries each, so a huge d must exit 2 before any is built
+    def no_matrix(w, m):
+        raise AssertionError("to_matrix called above the bound")
+
+    monkeypatch.setattr(pauli, "to_matrix", no_matrix)
+    code, out, err = run(capsys, "commute", "100003", "0", "1", "0", "0", "0", "1", "--matrix")
+    assert (code, out) == (2, "")
+    assert f"d <= {pauli.MATRIX_LIMIT}" in err
+
+
 def test_commute_json(capsys):
     code, out, _ = run(
         capsys, "commute", "6", "0", "0", "1", "0", "1", "0", "--matrix", "--format", "json"
@@ -324,6 +335,12 @@ def test_verify_rejects_unknown_checks(capsys):
     code, _, err = run(capsys, "verify", "6", "--checks", "nosuch")
     assert code == 2
     assert "nosuch" in err
+
+
+def test_verify_rejects_an_empty_check_list(capsys):
+    code, out, err = run(capsys, "verify", "6", "--checks", "")
+    assert (code, out) == (2, "")
+    assert "unknown check names: ['']" in err
 
 
 def test_verify_subset_json(capsys):

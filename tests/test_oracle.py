@@ -1,5 +1,9 @@
+import dataclasses
+
 import pytest
 
+import ringline.cli
+import ringline.pauli
 import ringline.projline
 import ringline.symplectic
 from ringline.oracle import (
@@ -13,6 +17,7 @@ from ringline.oracle import (
     verify_theorem2,
     verify_witness_construction,
 )
+from ringline.pauli import PauliOp
 from ringline.ring import make_modulus
 
 
@@ -45,6 +50,11 @@ def test_verify_all_skips_group_for_large_d():
 def test_verify_all_rejects_unknown_check_names():
     with pytest.raises(ValueError, match="nosuch"):
         verify_all(make_modulus(6), checks=["nosuch"])
+
+
+def test_verify_all_rejects_an_empty_selection():
+    with pytest.raises(ValueError, match="no check selected"):
+        verify_all(make_modulus(6), checks=[])
 
 
 def test_verify_all_check_subset():
@@ -182,3 +192,41 @@ def test_theorem1_catches_a_dropped_or_duplicated_point(monkeypatch, d, fault):
     )
     generators = entry.counterexample["generators"]
     assert generators == ([] if fault == "drop" else [list(points[-1].generator)] * 2)
+
+
+def _swapped_idempotents(d):
+    m = make_modulus(d)
+    return dataclasses.replace(m, idempotents=m.idempotents[::-1])
+
+
+# one planted bug per row: (module, attribute, replacement, the check that must FAIL)
+PLANTED_FAULTS = {
+    "form-sign-flipped": (
+        ringline.symplectic, "form", lambda v, w, m: (w[1] * v[0] - v[1] * w[0]) % m.d, "group",
+    ),
+    "multiply-phase-b-c2": (
+        ringline.pauli, "multiply",
+        lambda w, w2, m: PauliOp(
+            (w.b * w2.c + w.a + w2.a) % m.d, (w.b + w2.b) % m.d, (w.c + w2.c) % m.d
+        ),
+        "group",
+    ),
+    "inverse-phase-minus-bc": (
+        ringline.pauli, "inverse",
+        lambda w, m: PauliOp((-w.b * w.c - w.a) % m.d, -w.b % m.d, -w.c % m.d),
+        "group",
+    ),
+    "idempotents-swapped": (
+        ringline.cli, "make_modulus", _swapped_idempotents, "witness_construction",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_planted_fault_fails_its_check(monkeypatch, capsys, fault):
+    module, attribute, replacement, check = PLANTED_FAULTS[fault]
+    monkeypatch.setattr(module, attribute, replacement)
+    entry = verify_all(ringline.cli.make_modulus(6), checks=[check]).checks[0]
+    assert entry.status == "fail"
+    assert "claim" in entry.counterexample
+    assert ringline.cli.main(["verify", "6"]) == 1
