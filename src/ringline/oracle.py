@@ -177,52 +177,40 @@ def verify_theorem2(m: Modulus) -> CheckResult:
     return _timed("theorem2", f"all {d * d} vectors of Z_{d}^2", body)
 
 
-def _crt_combine(residues: Iterable[int], m: Modulus) -> int:
-    """Assemble an element of Z_d from residues mod each prime factor."""
-    assert m.idempotents is not None
-    return sum(res * e for res, e in zip(residues, m.idempotents)) % m.d
-
-
 def construct_witness(
     v: tuple[int, int], w: tuple[int, int], m: Modulus
 ) -> tuple[tuple[int, int], int, int]:
     """The component-wise recipe producing a point through both v and w in v-perp.
 
-    Returns (generator, u, s): off the vanishing-index set K the generator
-    copies v's components and u is 1; on K it copies w's components when they
-    are non-zero (else the all-ones pair) and u is 0, so u * generator = v.
+    Returns (generator, u, s), each a sum of e_k * (residue mod p_k) over the
+    CRT idempotents.  Off the vanishing-index set K the generator keeps v's
+    residues and u's residue is 1; on K it takes w's residues when they are
+    non-zero (else the all-ones pair) and u's residue is 0, so u * generator = v.
     The scalar s with s * generator = w comes from solving over each residue
-    field: off K the 2x2 determinant with rows w, v vanishes and v's component
-    is non-zero, so w's component is a field multiple of v's.
+    field: off K the 2x2 determinant with rows w, v vanishes and v's residue is
+    non-zero, so w's residue is a field multiple of v's.
     """
     if not m.square_free:
         raise ValueError(f"witness construction requires square-free d, got d={m.d}")
     b, c = v
     x, y = w
-    K = projline.index_set_K(v, m)
-    gen_b, gen_c, u_res, s_res = [], [], [], []
-    for k, p in enumerate(m.primes, start=1):
-        bk, ck, xk, yk = b % p, c % p, x % p, y % p
-        if k not in K:
-            gen_b.append(bk)
-            gen_c.append(ck)
-            u_res.append(1)
-            if bk:
-                s_res.append(xk * pow(bk, -1, p) % p)
-            else:
-                s_res.append(yk * pow(ck, -1, p) % p)
+    # v's residues are already 0 on K, so starting from v is exact there.
+    gen_b, gen_c, u, s = b, c, 0, 0
+    for p, e in zip(m.primes, m.idempotents):
+        if b % p:
+            u += e
+            s += e * (x * pow(b, -1, p) % p)
+        elif c % p:
+            u += e
+            s += e * (y * pow(c, -1, p) % p)
+        elif x % p or y % p:
+            gen_b += e * x
+            gen_c += e * y
+            s += e
         else:
-            u_res.append(0)
-            if (xk, yk) != (0, 0):
-                gen_b.append(xk)
-                gen_c.append(yk)
-                s_res.append(1)
-            else:
-                gen_b.append(1)
-                gen_c.append(1)
-                s_res.append(0)
-    generator = (_crt_combine(gen_b, m), _crt_combine(gen_c, m))
-    return generator, _crt_combine(u_res, m), _crt_combine(s_res, m)
+            gen_b += e
+            gen_c += e
+    return (gen_b % m.d, gen_c % m.d), u % m.d, s % m.d
 
 
 def verify_witness_construction(m: Modulus) -> CheckResult:
@@ -279,7 +267,10 @@ def verify_group(m: Modulus) -> CheckResult:
         )
 
     def body() -> Counterexample | None:
-        order = pauli.group_closure_order(m)
+        try:
+            order = pauli.group_closure_order(m)
+        except RuntimeError as err:
+            return {"claim": "matrix model has no normal-form bijection", "message": str(err)}
         if order != d**3:
             return {"claim": "closure of {X, Z} has wrong order", "expected": d**3, "actual": order}
 

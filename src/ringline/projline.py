@@ -8,7 +8,7 @@ from functools import lru_cache
 from typing import Any
 
 from . import symplectic
-from .ring import Modulus, component, is_unit
+from .ring import Modulus, is_unit
 from .symplectic import Vector2
 
 
@@ -110,35 +110,33 @@ def line_size_formula(m: Modulus) -> int:
     return n
 
 
+def _vanishing_gcd(v: Vector2, m: Modulus) -> int:
+    """g = gcd(b, c, d), whose primes are exactly the primes that kill v."""
+    if not m.square_free:
+        raise ValueError(f"index set K requires square-free d, got d={m.d}")
+    return math.gcd(v[0], v[1], m.d)
+
+
 def index_set_K(v: Vector2, m: Modulus) -> frozenset[int]:
     """The 1-based indices k whose prime kills v: b = c = 0 mod p_k.
 
-    Empty exactly when v is admissible.  Every counting formula for square-free
-    d is controlled by this set.
+    These are the indices of the primes of gcd(b, c, d), so K is empty exactly
+    when v is admissible.  Every counting formula for square-free d is
+    controlled by this set.
     """
-    if not m.square_free:
-        raise ValueError(f"index set K requires square-free d, got d={m.d}")
-    return frozenset(
-        k
-        for k in range(1, m.r + 1)
-        if component(v[0], k, m) == 0 and component(v[1], k, m) == 0
-    )
+    g = _vanishing_gcd(v, m)
+    return frozenset(k for k, p in enumerate(m.primes, start=1) if g % p == 0)
 
 
 def point_count_formula(v: Vector2, m: Modulus) -> int:
-    """Predicted number of points containing v: product of (p_k + 1) over K."""
-    n = 1
-    for k in index_set_K(v, m):
-        n *= m.factors[k - 1][0] + 1
-    return n
+    """Predicted number of points containing v: product of (p + 1) over p | gcd(b, c, d)."""
+    g = _vanishing_gcd(v, m)
+    return math.prod(p + 1 for p in m.primes if g % p == 0)
 
 
 def perp_size_formula(v: Vector2, m: Modulus) -> int:
-    """Predicted perp-set size: d times the product of the primes in K."""
-    n = m.d
-    for k in index_set_K(v, m):
-        n *= m.factors[k - 1][0]
-    return n
+    """Predicted perp-set size: d * gcd(b, c, d), i.e. d times the product of the primes in K."""
+    return m.d * _vanishing_gcd(v, m)
 
 
 def points_containing(v: Vector2, m: Modulus) -> list[Point]:

@@ -112,6 +112,61 @@ def test_witness_construction_prime_case_degenerates():
     assert (s * 3 % 7, s * 2 % 7) == (6, 4)
 
 
+def _reference_witness(v, w, m):
+    # the recipe as per-prime residue lists, combined through the idempotents at the end
+    (b, c), (x, y) = v, w
+    gen_b, gen_c, u_res, s_res = [], [], [], []
+    for p in m.primes:
+        bk, ck, xk, yk = b % p, c % p, x % p, y % p
+        if (bk, ck) != (0, 0):
+            gen_b.append(bk)
+            gen_c.append(ck)
+            u_res.append(1)
+            s_res.append(xk * pow(bk, -1, p) % p if bk else yk * pow(ck, -1, p) % p)
+        elif (xk, yk) != (0, 0):
+            gen_b.append(xk)
+            gen_c.append(yk)
+            u_res.append(0)
+            s_res.append(1)
+        else:
+            gen_b.append(1)
+            gen_c.append(1)
+            u_res.append(0)
+            s_res.append(0)
+    combine = lambda residues: sum(r * e for r, e in zip(residues, m.idempotents)) % m.d
+    return (combine(gen_b), combine(gen_c)), combine(u_res), combine(s_res)
+
+
+@pytest.mark.parametrize("d", [2, 6, 10])
+def test_witness_recipe_matches_reference_on_all_pairs(d):
+    m = make_modulus(d)
+    vectors = [(b, c) for b in range(d) for c in range(d)]
+    for v in vectors:
+        for w in vectors:
+            assert construct_witness(v, w, m) == _reference_witness(v, w, m), (v, w)
+
+
+@pytest.mark.parametrize("d", [15, 30])
+def test_witness_recipe_matches_reference_on_perp_pairs(d):
+    m = make_modulus(d)
+    for b in range(d):
+        for c in range(d):
+            for w in ringline.symplectic.perp_set((b, c), m).members:
+                assert construct_witness((b, c), w, m) == _reference_witness((b, c), w, m)
+
+
+def test_witness_recipe_matches_reference_on_unreduced_inputs():
+    m = make_modulus(2310)
+    cases = [
+        ((0, 0), (0, 0)), ((2310, -2310), (1, -1)), ((-1, 0), (-5, 7)),
+        ((462, 770), (-462, 4620)), ((-330, 2310 * 7), (-11, 13)),
+        ((105, -210), (10**12 + 1, -(10**9))), ((2 * 3 * 5, 7 * 11), (-2309, 2311)),
+        ((-2310 * 3 - 35, 2310 + 66), (70, -99)),
+    ]
+    for v, w in cases:
+        assert construct_witness(v, w, m) == _reference_witness(v, w, m), (v, w)
+
+
 def test_witness_construction_check_passes():
     for d in (2, 6, 10):
         assert verify_witness_construction(make_modulus(d)).status == "pass"
@@ -214,6 +269,14 @@ PLANTED_FAULTS = {
     "inverse-phase-minus-bc": (
         ringline.pauli, "inverse",
         lambda w, m: PauliOp((-w.b * w.c - w.a) % m.d, -w.b % m.d, -w.c % m.d),
+        "group",
+    ),
+    "to-matrix-drops-scalar-phase": (
+        ringline.pauli, "to_matrix",
+        lambda w, m: ringline.pauli.GenPermMatrix(
+            m.d, tuple((s + w.b) % m.d for s in range(m.d)),
+            tuple(w.c * s % m.d for s in range(m.d)),
+        ),
         "group",
     ),
     "idempotents-swapped": (
