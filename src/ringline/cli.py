@@ -13,6 +13,11 @@ through their ``to_json_dict``.
 
 Each command imports the layers it uses when it runs, so a request loads only
 those: ``factor`` needs ``ring`` alone.
+
+The subcommands come from one table, ``_COMMANDS``.  ``main`` builds the
+modulus from ``d`` once and dispatches to ``cmd_<name>(args, m)`` by name; it
+looks up both ``make_modulus`` and the command on the module at call time, so a
+wrapper installed on either takes effect.
 """
 
 from __future__ import annotations
@@ -26,10 +31,35 @@ from .ring import make_modulus, unit_count
 
 if TYPE_CHECKING:
     from .projline import Point
+    from .ring import Modulus
 
 # oracle.CHECK_NAMES (a test keeps the two equal), spelled out so that building
 # the parser does not import the oracle and every layer below it.
 _CHECK_NAMES = "group,theorem1,theorem2,witness_construction"
+
+# One row per subcommand, dispatched to cmd_<name>: its help, the integer
+# arguments after d, its options as argparse keyword dicts, and its output
+# formats, the first being the default.
+_FORMATS = ("text", "json", "csv")
+_COMMANDS: dict[str, tuple[str, str, dict[str, dict[str, Any]], tuple[str, ...]]] = {
+    "factor": ("factor d, report units and CRT idempotents", "", {}, _FORMATS),
+    "perp": ("perp-set of a vector, with its point decomposition", "b c", {}, _FORMATS),
+    "points": ("enumerate the points of the line over Z_d", "", {}, _FORMATS),
+    "commute": ("commutation verdict for two operators (a b c triples)", "a b c a2 b2 c2", {
+        "--matrix": {"action": "store_true", "help": "cross-check against the exact matrix model"},
+        "--pretty": {"action": "store_true",
+                     "help": "also render operators symbolically, like 'w^2 X Z^3'"},
+    }, _FORMATS),
+    "count": ("number of operators commuting with omega^a X^b Z^c", "b c", {
+        "--brute": {"action": "store_true", "help": "also count exhaustively (d <= 32)"},
+    }, _FORMATS),
+    "graph": ("neighbour graph of the line (DOT or JSON adjacency)", "", {}, ("dot", "json")),
+    "verify": ("run the exhaustive verification checks", "", {
+        "--checks": {"help": "comma-separated subset of: " + _CHECK_NAMES},
+        "--timings": {"action": "store_true",
+                      "help": "include per-check timings (makes output run-dependent)"},
+    }, _FORMATS),
+}
 
 
 def _cell(value: Any) -> str:
@@ -78,8 +108,7 @@ def _emit(fmt: str, record: Any, text: Callable[[], list[str]],
     sys.stdout.write(out + "\n")
 
 
-def cmd_factor(args: argparse.Namespace) -> int:
-    m = make_modulus(args.d)
+def cmd_factor(args: argparse.Namespace, m: Modulus) -> int:
     phi = unit_count(m)
     terms = [f"{p}^{mult}" if mult > 1 else str(p) for p, mult in m.factors]
     idem = None if m.idempotents is None else " ".join(map(str, m.idempotents))
@@ -91,10 +120,9 @@ def cmd_factor(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perp(args: argparse.Namespace) -> int:
+def cmd_perp(args: argparse.Namespace, m: Modulus) -> int:
     from . import projline, symplectic
 
-    m = make_modulus(args.d)
     v = (args.b % m.d, args.c % m.d)
     ps = symplectic.perp_set(v, m)
     points = size_formula = count_formula = union_ok = None
@@ -115,13 +143,13 @@ def cmd_perp(args: argparse.Namespace) -> int:
                    *(_point_line(p, m.d) for p in points or ()),
                    *_kv(("union_equals_perp", union_ok))],
           lambda: [("b", "c"), *ps.sorted_members()])
-    return 0
+    agree = union_ok and size_formula == ps.size and count_formula == n_points
+    return 1 if m.square_free and not agree else 0
 
 
-def cmd_points(args: argparse.Namespace) -> int:
+def cmd_points(args: argparse.Namespace, m: Modulus) -> int:
     from . import projline
 
-    m = make_modulus(args.d)
     pts = projline.enumerate_points(m)
     formula = projline.line_size_formula(m) if m.square_free else None
     _emit(args.format, {"d": m.d, "count": len(pts), "count_formula": formula, "points": pts},
@@ -133,10 +161,9 @@ def cmd_points(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_commute(args: argparse.Namespace) -> int:
+def cmd_commute(args: argparse.Namespace, m: Modulus) -> int:
     from . import pauli
 
-    m = make_modulus(args.d)
     if args.matrix and m.d > pauli.MATRIX_LIMIT:
         raise ValueError(f"--matrix is bounded to d <= {pauli.MATRIX_LIMIT}, got d={m.d}")
     w1 = pauli.reduce_op(pauli.PauliOp(args.a, args.b, args.c), m)
@@ -162,10 +189,9 @@ def cmd_commute(args: argparse.Namespace) -> int:
     return 1 if matrix_agrees is False else 0
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace, m: Modulus) -> int:
     from . import projline
 
-    m = make_modulus(args.d)
     if not m.square_free:
         raise ValueError(
             f"count requires square-free d (the commutant formula is proved only there), got d={m.d}"
@@ -190,20 +216,19 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 1 if brute is not None and brute != formula else 0
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
+def cmd_graph(args: argparse.Namespace, m: Modulus) -> int:
     from . import projline
 
-    graph = projline.neighbour_graph(make_modulus(args.d))
+    graph = projline.neighbour_graph(m)
     _emit(args.format, graph, lambda: [graph.to_dot()])
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, m: Modulus) -> int:
     import json
 
     from . import oracle
 
-    m = make_modulus(args.d)
     names = None if args.checks is None else args.checks.split(",")
     report = oracle.verify_all(m, checks=names)
 
@@ -231,66 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
         "computed through the projective line over Z_d.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser, choices: Sequence[str], default: str) -> None:
-        p.add_argument("--format", choices=list(choices), default=default,
-                       help=f"output format (default {default})")
-
-    p = sub.add_parser("factor", help="factor d, report units and CRT idempotents")
-    p.add_argument("d", type=int)
-    add_format(p, ("text", "json", "csv"), "text")
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("perp", help="perp-set of a vector, with its point decomposition")
-    p.add_argument("d", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    add_format(p, ("text", "json", "csv"), "text")
-    p.set_defaults(func=cmd_perp)
-
-    p = sub.add_parser("points", help="enumerate the points of the line over Z_d")
-    p.add_argument("d", type=int)
-    add_format(p, ("text", "json", "csv"), "text")
-    p.set_defaults(func=cmd_points)
-
-    p = sub.add_parser("commute", help="commutation verdict for two operators (a b c triples)")
-    p.add_argument("d", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("a2", type=int)
-    p.add_argument("b2", type=int)
-    p.add_argument("c2", type=int)
-    p.add_argument("--matrix", action="store_true",
-                   help="cross-check against the exact matrix model")
-    p.add_argument("--pretty", action="store_true",
-                   help="also render operators symbolically, like 'w^2 X Z^3'")
-    add_format(p, ("text", "json", "csv"), "text")
-    p.set_defaults(func=cmd_commute)
-
-    p = sub.add_parser("count", help="number of operators commuting with omega^a X^b Z^c")
-    p.add_argument("d", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("--brute", action="store_true",
-                   help="also count exhaustively (d <= 32)")
-    add_format(p, ("text", "json", "csv"), "text")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("graph", help="neighbour graph of the line (DOT or JSON adjacency)")
-    p.add_argument("d", type=int)
-    add_format(p, ("dot", "json"), "dot")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("verify", help="run the exhaustive verification checks")
-    p.add_argument("d", type=int)
-    p.add_argument("--checks", type=str, default=None,
-                   help="comma-separated subset of: " + _CHECK_NAMES)
-    p.add_argument("--timings", action="store_true",
-                   help="include per-check timings (makes output run-dependent)")
-    add_format(p, ("text", "json", "csv"), "text")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_, ints, options, formats) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for arg in ("d", *ints.split()):
+            p.add_argument(arg, type=int)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=formats, default=formats[0],
+                       help=f"output format (default {formats[0]})")
     return parser
 
 
@@ -301,7 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args, make_modulus(args.d))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -136,15 +136,16 @@ def verify_theorem1(m: Modulus) -> CheckResult:
 
 def verify_theorem2(m: Modulus) -> CheckResult:
     """The three square-free counting claims, for every vector: number of
-    containing points, union of those points = perp-set, perp-set size."""
+    containing points, union of those points = perp-set, perp-set size.  The
+    points and their union come from ``projline.points_containing`` and
+    ``projline.perp_as_point_union``, so the check covers both."""
     if not m.square_free:
         raise ValueError(f"theorem2 check requires square-free d, got d={m.d}")
     d = m.d
 
     def body() -> Counterexample | None:
-        pts = projline.enumerate_points(m)
         for v in _vectors(d):
-            containing = [p for p in pts if v in p.members]
+            containing = projline.points_containing(v, m)
             expected_points = projline.point_count_formula(v, m)
             if len(containing) != expected_points:
                 return {
@@ -153,7 +154,7 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "expected": expected_points,
                     "actual": len(containing),
                 }
-            union = frozenset().union(*(p.members for p in containing))
+            union = projline.perp_as_point_union(v, m)
             perp = symplectic.perp_set(v, m).members
             if union != perp:
                 return {

@@ -3,12 +3,13 @@ import pathlib
 
 import pytest
 
-from ringline import oracle, pauli, symplectic
+from ringline import oracle, pauli, projline, symplectic
 from ringline.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # argv -> exact stdout and exit code: every command in every format at
-# d in {6, 7, 12}, plus --pretty, --matrix, --brute, --checks and usage errors
+# d in {6, 7, 12}, plus --pretty, --matrix, --brute, --checks, usage errors and
+# the help screens
 CLI_OUTPUTS = json.loads((GOLDEN / "cli_outputs.json").read_text())
 
 
@@ -19,7 +20,8 @@ def run(capsys, *argv):
 
 
 @pytest.mark.parametrize("argv", sorted(CLI_OUTPUTS))
-def test_output_matrix_matches_golden(capsys, argv):
+def test_output_matrix_matches_golden(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help screens at $COLUMNS
     code, out, _ = run(capsys, *argv.split())
     assert (code, out) == (CLI_OUTPUTS[argv]["exit"], CLI_OUTPUTS[argv]["stdout"])
 
@@ -127,6 +129,15 @@ def test_perp_field_case(capsys):
     assert code == 0
     assert "perp_size = 7" in out
     assert "points_containing = 1" in out
+
+
+def test_perp_exits_1_when_its_cross_checks_disagree(capsys, monkeypatch):
+    containing = projline.points_containing
+    monkeypatch.setattr(projline, "points_containing", lambda v, m: containing(v, m)[:-1])
+    code, out, _ = run(capsys, "perp", "6", "2", "0")
+    assert code == 1
+    assert "points_containing = 2\npoints_formula = 3\n" in out
+    assert out.endswith("union_equals_perp = false\n")
 
 
 def test_perp_without_square_freeness_omits_decomposition(capsys):

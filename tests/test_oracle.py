@@ -254,6 +254,13 @@ def _swapped_idempotents(d):
     return dataclasses.replace(m, idempotents=m.idempotents[::-1])
 
 
+_points_containing = ringline.projline.points_containing
+
+
+def _union_of_every_point(v, m):
+    return frozenset().union(*(p.members for p in ringline.projline.enumerate_points(m)))
+
+
 # one planted bug per row: (module, attribute, replacement, the check that must FAIL)
 PLANTED_FAULTS = {
     "form-sign-flipped": (
@@ -281,6 +288,13 @@ PLANTED_FAULTS = {
     ),
     "idempotents-swapped": (
         ringline.cli, "make_modulus", _swapped_idempotents, "witness_construction",
+    ),
+    "points-containing-drops-last-match": (
+        ringline.projline, "points_containing", lambda v, m: _points_containing(v, m)[:-1],
+        "theorem2",
+    ),
+    "point-union-is-whole-line": (
+        ringline.projline, "perp_as_point_union", _union_of_every_point, "theorem2",
     ),
 }
 
