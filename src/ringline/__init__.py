@@ -35,7 +35,7 @@ _EXPORTS = {
         "points_containing",
     ),
     "ring": ("Modulus", "component", "invert", "is_unit", "make_modulus", "unit_count"),
-    "symplectic": ("PerpSet", "Vector2", "form", "is_perp", "perp_set"),
+    "symplectic": ("PerpSet", "Vector2", "form", "is_perp", "perp_rows", "perp_set"),
 }
 _SUBMODULES = ("cli", *_EXPORTS)
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

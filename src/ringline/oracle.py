@@ -4,6 +4,11 @@ Every counting claim and group-structure claim the library relies on is
 restated here as a brute-force check over the full state space for a given d.
 Checks are never sampled; a failure always carries a serialized witness, and a
 check that does not apply is reported as skipped, never silently passed.
+
+``theorem1`` and ``witness_construction`` read perp-sets as bit rows from
+``symplectic.perp_rows``, which gets all d^4 pairs from 2d^2 values of the form
+by bilinearity; ``theorem2`` keeps ``symplectic.perp_set`` so that it stays
+checked on every vector.
 """
 
 from __future__ import annotations
@@ -87,36 +92,59 @@ def _vectors(d: int) -> list[tuple[int, int]]:
     return [(b, c) for b in range(d) for c in range(d)]
 
 
+def _rows(members: Iterable[tuple[int, int]], d: int) -> list[int]:
+    """A set of vectors as d bit rows: bit c of row b is set iff (b, c) is in it."""
+    rows = [0] * d
+    for b, c in members:
+        rows[b] |= 1 << c
+    return rows
+
+
+def _members(rows: list[int]) -> list[tuple[int, int]]:
+    """The vectors of a set of bit rows, in sorted order."""
+    out = []
+    for b, row in enumerate(rows):
+        while row:
+            low = row & -row
+            out.append((b, low.bit_length() - 1))
+            row ^= low
+    return out
+
+
 def verify_theorem1(m: Modulus) -> CheckResult:
     """Every point through a vector lies inside its perp-set; for admissible
     vectors the perp-set equals the point itself, and exactly one enumerated
-    point contains the vector.  Any d."""
+    point contains the vector, namely ``projline.point_through``'s.  Any d; at
+    square-free d the point count also matches ``projline.line_size_formula``.
+    Perp-sets and points are compared as bit rows (``symplectic.perp_rows``)."""
     d = m.d
 
     def body() -> Counterexample | None:
         pts = projline.enumerate_points(m)
-        for v in _vectors(d):
-            perp = symplectic.perp_set(v, m).members
-            containing = [p for p in pts if v in p.members]
-            for p in containing:
-                if not p.members <= perp:
+        point_rows = [(p, _rows(p.members, d)) for p in pts]
+        for v, perp in symplectic.perp_rows(m):
+            containing = [(p, rows) for p, rows in point_rows if v in p.members]
+            for p, rows in containing:
+                stray = [row & ~perp_row for row, perp_row in zip(rows, perp)]
+                if any(stray):
                     return {
                         "claim": "point through vector not inside its perp-set",
                         "vector": list(v),
                         "point": p.to_json_dict(),
-                        "stray": [list(w) for w in sorted(p.members - perp)],
+                        "stray": [list(w) for w in _members(stray)],
                     }
             if projline.is_admissible(v, m):
-                orbit = projline.cyclic_submodule(v, m)
+                through = projline.point_through(v, m)
+                orbit = _rows(through.members, d)
                 if perp != orbit:
                     return {
                         "claim": "perp-set of admissible vector differs from its orbit",
                         "vector": list(v),
-                        "perp_size": len(perp),
-                        "orbit_size": len(orbit),
+                        "perp_size": sum(row.bit_count() for row in perp),
+                        "orbit_size": len(through.members),
                     }
-                for p in containing:
-                    if p.members != orbit:
+                for p, rows in containing:
+                    if rows != orbit:
                         return {
                             "claim": "point through admissible vector differs from its orbit",
                             "vector": list(v),
@@ -127,8 +155,22 @@ def verify_theorem1(m: Modulus) -> CheckResult:
                         "claim": f"admissible vector lies in {len(containing)} points, "
                                  "expected exactly 1",
                         "vector": list(v),
-                        "generators": [list(p.generator) for p in containing],
+                        "generators": [list(p.generator) for p, _ in containing],
                     }
+                ((p, _),) = containing
+                if p != through:
+                    return {
+                        "claim": "point through admissible vector differs from point_through",
+                        "vector": list(v),
+                        "point": p.to_json_dict(),
+                        "point_through": through.to_json_dict(),
+                    }
+        if m.square_free and len(pts) != (size := projline.line_size_formula(m)):
+            return {
+                "claim": "number of points differs from the line size formula",
+                "expected": size,
+                "actual": len(pts),
+            }
         return None
 
     return _timed("theorem1", f"all {d * d} vectors of Z_{d}^2", body)
@@ -136,9 +178,11 @@ def verify_theorem1(m: Modulus) -> CheckResult:
 
 def verify_theorem2(m: Modulus) -> CheckResult:
     """The three square-free counting claims, for every vector: number of
-    containing points, union of those points = perp-set, perp-set size.  The
-    points and their union come from ``projline.points_containing`` and
-    ``projline.perp_as_point_union``, so the check covers both."""
+    containing points, union of those points = perp-set, perp-set size; and
+    ``projline.index_set_K`` = the indices of the primes dividing both
+    coordinates.  The points and their union come from
+    ``projline.points_containing`` and ``projline.perp_as_point_union``, so the
+    check covers both."""
     if not m.square_free:
         raise ValueError(f"theorem2 check requires square-free d, got d={m.d}")
     d = m.d
@@ -172,6 +216,15 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "vector": list(v),
                     "expected": expected_size,
                     "actual": len(perp),
+                }
+            index_set = projline.index_set_K(v, m)
+            vanishing = {k for k, p in enumerate(m.primes, start=1) if v[0] % p == v[1] % p == 0}
+            if index_set != vanishing:
+                return {
+                    "claim": "index set K differs from the primes dividing both coordinates",
+                    "vector": list(v),
+                    "expected": sorted(vanishing),
+                    "actual": sorted(index_set),
                 }
         return None
 
@@ -222,8 +275,8 @@ def verify_witness_construction(m: Modulus) -> CheckResult:
     d = m.d
 
     def body() -> Counterexample | None:
-        for v in _vectors(d):
-            for w in sorted(symplectic.perp_set(v, m).members):
+        for v, perp in symplectic.perp_rows(m):
+            for w in _members(perp):
                 gen, u, s = construct_witness(v, w, m)
                 failure = None
                 if not projline.is_admissible(gen, m):

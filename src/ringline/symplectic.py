@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from .ring import Modulus
 
@@ -56,3 +56,24 @@ def perp_set(v: Vector2, m: Modulus) -> PerpSet:
         (b, c) for b in range(d) for c in range(d) if form(base, (b, c), m) == 0
     )
     return PerpSet(base=base, members=members)
+
+
+def perp_rows(m: Modulus) -> Iterator[tuple[Vector2, list[int]]]:
+    """Every vector v of Z_d^2 in row-major order, with its perp-set as d bit rows.
+
+    Bit c' of ``rows[b']`` is set iff form(v, (b', c')) = 0.  By bilinearity
+    form((b,c),(b',c')) = form((b,0),(0,c')) + form((0,c),(b',0)), so 2d^2
+    calls to ``form`` settle all d^4 pairs: row b' of (b, c) is the set of c'
+    whose first term is minus the second, read off a per-b table of d-bit rows.
+    """
+    d = m.d
+    coords = range(d)
+    # minus_second[c][b'] = -form((0,c),(b',0)), the value the first term must take
+    minus_second = [[-form((0, c), (b2, 0), m) % d for b2 in coords] for c in coords]
+    for b in coords:
+        # by_value[r] = {c' : form((b,0),(0,c')) = r}, as a d-bit row
+        by_value = [0] * d
+        for c2 in coords:
+            by_value[form((b, 0), (0, c2), m) % d] |= 1 << c2
+        for c in coords:
+            yield (b, c), [by_value[r] for r in minus_second[c]]

@@ -202,3 +202,14 @@ def test_criterion_10_headless_exit_codes_and_determinism(capsys, monkeypatch):
     assert main(["verify", "6"]) == 1
     capsys.readouterr()
     print("PASS criterion 10: exit-code contract 0/1/2 and byte-identical reruns")
+
+
+def test_criterion_11_theorem1_at_d105():
+    # cold: the budget includes enumerating the 192 points
+    ringline.projline._points_cached.cache_clear()
+    start = time.perf_counter()
+    entry = verify_theorem1(make_modulus(105))
+    elapsed = time.perf_counter() - start
+    assert entry.status == "pass", entry.counterexample
+    assert elapsed < 3.0, f"took {elapsed:.2f} s"
+    print(f"PASS criterion 11: theorem1 over all 11025 vectors of Z_105^2, {elapsed:.2f} s")

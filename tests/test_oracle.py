@@ -10,6 +10,7 @@ from ringline.oracle import (
     CHECK_NAMES,
     CheckResult,
     VerificationReport,
+    _timed,
     construct_witness,
     verify_all,
     verify_group,
@@ -167,6 +168,112 @@ def test_witness_recipe_matches_reference_on_unreduced_inputs():
         assert construct_witness(v, w, m) == _reference_witness(v, w, m), (v, w)
 
 
+def _reference_theorem1(m):
+    # the check as one perp_set and one point scan per vector, compared as sets
+    d = m.d
+
+    def body():
+        pts = ringline.projline.enumerate_points(m)
+        for v in [(b, c) for b in range(d) for c in range(d)]:
+            perp = ringline.symplectic.perp_set(v, m).members
+            containing = [p for p in pts if v in p.members]
+            for p in containing:
+                if not p.members <= perp:
+                    return {
+                        "claim": "point through vector not inside its perp-set",
+                        "vector": list(v),
+                        "point": p.to_json_dict(),
+                        "stray": [list(w) for w in sorted(p.members - perp)],
+                    }
+            if ringline.projline.is_admissible(v, m):
+                orbit = ringline.projline.cyclic_submodule(v, m)
+                if perp != orbit:
+                    return {
+                        "claim": "perp-set of admissible vector differs from its orbit",
+                        "vector": list(v),
+                        "perp_size": len(perp),
+                        "orbit_size": len(orbit),
+                    }
+                for p in containing:
+                    if p.members != orbit:
+                        return {
+                            "claim": "point through admissible vector differs from its orbit",
+                            "vector": list(v),
+                            "point": p.to_json_dict(),
+                        }
+                if len(containing) != 1:
+                    return {
+                        "claim": f"admissible vector lies in {len(containing)} points, "
+                                 "expected exactly 1",
+                        "vector": list(v),
+                        "generators": [list(p.generator) for p in containing],
+                    }
+        return None
+
+    return _timed("theorem1", f"all {d * d} vectors of Z_{d}^2", body)
+
+
+def _reference_witness_construction(m):
+    # the check with each perp-set enumerated by perp_set and sorted
+    d = m.d
+
+    def body():
+        for v in [(b, c) for b in range(d) for c in range(d)]:
+            for w in sorted(ringline.symplectic.perp_set(v, m).members):
+                gen, u, s = construct_witness(v, w, m)
+                failure = None
+                if not ringline.projline.is_admissible(gen, m):
+                    failure = "constructed generator is not admissible"
+                elif ((u * gen[0]) % d, (u * gen[1]) % d) != v:
+                    failure = "scalar u does not map generator to v"
+                elif ((s * gen[0]) % d, (s * gen[1]) % d) != w:
+                    failure = "scalar s does not map generator to w"
+                if failure:
+                    return {
+                        "claim": failure,
+                        "vector": list(v),
+                        "perp_member": list(w),
+                        "generator": list(gen),
+                        "u": u,
+                        "s": s,
+                    }
+        return None
+
+    return _timed("witness_construction", f"all (v, w) pairs with w in v-perp, d={d}", body)
+
+
+@pytest.mark.parametrize("d", range(2, 31))
+def test_theorem1_report_matches_reference(d):
+    m = make_modulus(d)
+    expected = _reference_theorem1(m).to_json_dict(include_elapsed=False)
+    assert verify_theorem1(m).to_json_dict(include_elapsed=False) == expected
+
+
+@pytest.mark.parametrize("d", [d for d in range(2, 31) if make_modulus(d).square_free])
+def test_witness_report_matches_reference(d):
+    m = make_modulus(d)
+    expected = _reference_witness_construction(m).to_json_dict(include_elapsed=False)
+    assert verify_witness_construction(m).to_json_dict(include_elapsed=False) == expected
+
+
+@pytest.mark.parametrize("d", [6, 12, 30])
+def test_theorem1_counterexample_matches_reference_under_a_dropped_form_term(monkeypatch, d):
+    # fault: form loses its second term; both routes must name the same vector and stray
+    monkeypatch.setattr(ringline.symplectic, "form", lambda v, w, m: (v[1] * w[0]) % m.d)
+    m = make_modulus(d)
+    entry = verify_theorem1(m).to_json_dict(include_elapsed=False)
+    assert entry["status"] == "fail"
+    assert entry == _reference_theorem1(m).to_json_dict(include_elapsed=False)
+
+
+@pytest.mark.parametrize("d", [6, 10, 15])
+def test_witness_counterexample_matches_reference_under_swapped_idempotents(d):
+    m = _swapped_idempotents(d)
+    entry = verify_witness_construction(m).to_json_dict(include_elapsed=False)
+    assert entry["status"] == "fail"
+    assert entry == _reference_witness_construction(m).to_json_dict(include_elapsed=False)
+
+
 def test_witness_construction_check_passes():
     for d in (2, 6, 10):
         assert verify_witness_construction(make_modulus(d)).status == "pass"
@@ -261,6 +368,23 @@ def _union_of_every_point(v, m):
     return frozenset().union(*(p.members for p in ringline.projline.enumerate_points(m)))
 
 
+_perp_rows = ringline.symplectic.perp_rows
+
+
+def _perp_rows_without_zero(m):
+    # every perp-set loses the zero vector, bit 0 of row 0
+    for v, rows in _perp_rows(m):
+        yield v, [rows[0] & ~1, *rows[1:]]
+
+
+_line_size_formula = ringline.projline.line_size_formula
+
+
+def _point_through_keeping_v(v, m):
+    v = (v[0] % m.d, v[1] % m.d)
+    return ringline.projline.Point(generator=v, members=ringline.projline.cyclic_submodule(v, m))
+
+
 # one planted bug per row: (module, attribute, replacement, the check that must FAIL)
 PLANTED_FAULTS = {
     "form-sign-flipped": (
@@ -295,6 +419,18 @@ PLANTED_FAULTS = {
     ),
     "point-union-is-whole-line": (
         ringline.projline, "perp_as_point_union", _union_of_every_point, "theorem2",
+    ),
+    "perp-rows-drop-a-bit": (
+        ringline.symplectic, "perp_rows", _perp_rows_without_zero, "theorem1",
+    ),
+    "line-size-formula-plus-one": (
+        ringline.projline, "line_size_formula", lambda m: _line_size_formula(m) + 1, "theorem1",
+    ),
+    "point-through-keeps-v": (
+        ringline.projline, "point_through", _point_through_keeping_v, "theorem1",
+    ),
+    "index-set-K-always-empty": (
+        ringline.projline, "index_set_K", lambda v, m: frozenset(), "theorem2",
     ),
 }
 

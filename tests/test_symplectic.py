@@ -1,5 +1,8 @@
+import pytest
+
+import ringline.symplectic
 from ringline.ring import make_modulus
-from ringline.symplectic import form, is_perp, perp_set
+from ringline.symplectic import form, is_perp, perp_rows, perp_set
 
 # golden: the twelve vectors orthogonal to (2,0) at d=6
 PERP_2_0_D6 = {
@@ -121,3 +124,28 @@ def test_perp_set_reduces_its_base():
 def test_perp_set_json_shape():
     obj = perp_set((1, 0), make_modulus(2)).to_json_dict()
     assert obj == {"base": [1, 0], "members": [[0, 0], [1, 0]], "size": 2}
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_perp_rows_agree_with_form_on_every_pair(d):
+    m = make_modulus(d)
+    vectors = all_vectors(d)
+    listed = list(perp_rows(m))
+    assert [v for v, _ in listed] == vectors  # row-major order
+    for v, rows in listed:
+        assert len(rows) == d
+        for b2, row in enumerate(rows):
+            assert 0 <= row < 1 << d
+            for c2 in range(d):
+                assert (row >> c2 & 1) == (form(v, (b2, c2), m) == 0), (v, (b2, c2))
+
+
+def test_perp_rows_make_2d2_form_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        ringline.symplectic, "form", lambda v, w, m: calls.append(1) or form(v, w, m)
+    )
+    for d in (7, 12):
+        calls.clear()
+        assert sum(1 for _ in ringline.symplectic.perp_rows(make_modulus(d))) == d * d
+        assert len(calls) == 2 * d * d
