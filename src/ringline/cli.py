@@ -73,14 +73,6 @@ def _kv(*pairs: tuple[str, Any]) -> list[str]:
     return [f"{key} = {_cell(value)}" for key, value in pairs if value is not None]
 
 
-def _csv_line(cells: Iterable[Any]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([_cell(c) for c in cells])
-    return buf.getvalue()
-
-
 def _one_row(record: dict[str, Any], *keys: str) -> list[Sequence[Any]]:
     """CSV rows of a one-row table: ``keys`` as the header, their record values below."""
     return [keys, [record[k] for k in keys]]
@@ -100,12 +92,16 @@ def _emit(fmt: str, record: Any, text: Callable[[], list[str]],
     if fmt == "json":
         import json
 
-        out = json.dumps(record, indent=2, default=lambda o: o.to_json_dict())
+        out = json.dumps(record, indent=2, default=lambda o: o.to_json_dict()) + "\n"
     elif fmt == "csv" and rows is not None:
-        out = "\n".join(_csv_line(r) for r in rows())
+        import csv
+
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([_cell(c) for c in r] for r in rows())
+        out = buf.getvalue()
     else:
-        out = "\n".join(text())
-    sys.stdout.write(out + "\n")
+        out = "\n".join(text()) + "\n"
+    sys.stdout.write(out)
 
 
 def cmd_factor(args: argparse.Namespace, m: Modulus) -> int:

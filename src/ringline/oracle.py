@@ -113,17 +113,21 @@ def _members(rows: list[int]) -> list[tuple[int, int]]:
 
 def verify_theorem1(m: Modulus) -> CheckResult:
     """Every point through a vector lies inside its perp-set; for admissible
-    vectors the perp-set equals the point itself, and exactly one enumerated
-    point contains the vector, namely ``projline.point_through``'s.  Any d; at
-    square-free d the point count also matches ``projline.line_size_formula``.
-    Perp-sets and points are compared as bit rows (``symplectic.perp_rows``)."""
+    vectors the perp-set equals the point itself, and exactly one point
+    contains the vector, namely ``projline.point_through``'s; the point count
+    matches ``projline.line_size_formula``.  Any d.  The points through each
+    vector come from ``projline.points_containing``, and perp-sets and points
+    are compared as bit rows (``symplectic.perp_rows``)."""
     d = m.d
 
     def body() -> Counterexample | None:
         pts = projline.enumerate_points(m)
-        point_rows = [(p, _rows(p.members, d)) for p in pts]
+        # Keyed by identity, so a point that is not one of the enumerated
+        # objects is compared through its own members.
+        rows_of = {id(p): _rows(p.members, d) for p in pts}
         for v, perp in symplectic.perp_rows(m):
-            containing = [(p, rows) for p, rows in point_rows if v in p.members]
+            containing = [(p, rows_of.get(id(p)) or _rows(p.members, d))
+                          for p in projline.points_containing(v, m)]
             for p, rows in containing:
                 stray = [row & ~perp_row for row, perp_row in zip(rows, perp)]
                 if any(stray):
@@ -165,7 +169,7 @@ def verify_theorem1(m: Modulus) -> CheckResult:
                         "point": p.to_json_dict(),
                         "point_through": through.to_json_dict(),
                     }
-        if m.square_free and len(pts) != (size := projline.line_size_formula(m)):
+        if len(pts) != (size := projline.line_size_formula(m)):
             return {
                 "claim": "number of points differs from the line size formula",
                 "expected": size,

@@ -94,20 +94,15 @@ def _points_cached(m: Modulus) -> tuple[Point, ...]:
 def enumerate_points(m: Modulus) -> list[Point]:
     """All points of the line over Z_d, ordered by canonical generator.
 
-    Works for any d > 1; the closed-form count (the product of p_k + 1 over the
-    prime factors) is a square-free statement and asserted only there.
+    Works for any d > 1, and there are ``line_size_formula(m)`` of them.
     """
     return list(_points_cached(m))
 
 
 def line_size_formula(m: Modulus) -> int:
-    """Predicted number of points for square-free d: the product of (p_k + 1)."""
-    if not m.square_free:
-        raise ValueError(f"line size formula requires square-free d, got d={m.d}")
-    n = 1
-    for p in m.primes:
-        n *= p + 1
-    return n
+    """Predicted number of points, d * prod (1 + 1/p): the product of
+    p^(n-1) * (p + 1) over p^n || d, i.e. of (p + 1) for square-free d."""
+    return math.prod(p ** (n - 1) * (p + 1) for p, n in m.factors)
 
 
 def _vanishing_gcd(v: Vector2, m: Modulus) -> int:
@@ -140,9 +135,7 @@ def perp_size_formula(v: Vector2, m: Modulus) -> int:
 
 
 def points_containing(v: Vector2, m: Modulus) -> list[Point]:
-    """All points whose member set contains v (square-free d only)."""
-    if not m.square_free:
-        raise ValueError(f"points_containing requires square-free d, got d={m.d}")
+    """All points whose member set contains v, in enumeration order; any d."""
     v = (v[0] % m.d, v[1] % m.d)
     return [p for p in _points_cached(m) if v in p.members]
 
@@ -150,11 +143,11 @@ def points_containing(v: Vector2, m: Modulus) -> list[Point]:
 def perp_as_point_union(v: Vector2, m: Modulus) -> frozenset[Vector2]:
     """The union of the member sets of every point through v.
 
-    For square-free d this equals the perp-set of v exactly; the library's
-    verification harness checks that equality exhaustively.
+    At every d it lies inside the perp-set of v, and it equals the perp-set for
+    every v iff d is square-free; at d = 4, (0, 2) has 8 perp-set members but
+    only 6 in points.  The verification harness checks the inclusion at every d
+    and the equality at square-free d.
     """
-    if not m.square_free:
-        raise ValueError(f"perp_as_point_union requires square-free d, got d={m.d}")
     return frozenset().union(*(p.members for p in points_containing(v, m)))
 
 

@@ -12,7 +12,8 @@ from typing import Any
 class Modulus:
     """A factored modulus d > 1, the arithmetic context threaded through everything.
 
-    ``factors`` holds (prime, multiplicity) pairs with primes strictly increasing.
+    ``factors`` holds (prime, multiplicity) pairs with primes strictly increasing,
+    and ``primes`` the primes alone.
     For square-free d, ``idempotents`` holds one element e_k of Z_d per prime,
     with e_k = 1 mod p_k and e_k = 0 mod every other prime factor; these are the
     units of the field ideals Z_d * (d / p_k) whose inner direct product is Z_d.
@@ -22,17 +23,14 @@ class Modulus:
 
     d: int
     factors: tuple[tuple[int, int], ...]
+    primes: tuple[int, ...]
     square_free: bool
     idempotents: tuple[int, ...] | None
 
     @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    @property
     def r(self) -> int:
         """Number of distinct prime factors."""
-        return len(self.factors)
+        return len(self.primes)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -131,11 +129,13 @@ def make_modulus(d: int) -> Modulus:
     if n > 1:
         counts.update(_prime_factors(n))
     factors = sorted(counts.items())
+    primes = tuple(p for p, _ in factors)
     square_free = all(mult == 1 for _, mult in factors)
     idempotents: tuple[int, ...] | None = None
     if square_free:
-        idempotents = tuple((d // p) * pow(d // p, -1, p) % d for p, _ in factors)
-    return Modulus(d=d, factors=tuple(factors), square_free=square_free, idempotents=idempotents)
+        idempotents = tuple((d // p) * pow(d // p, -1, p) % d for p in primes)
+    return Modulus(d=d, factors=tuple(factors), primes=primes, square_free=square_free,
+                   idempotents=idempotents)
 
 
 def is_unit(x: int, m: Modulus) -> bool:

@@ -443,3 +443,32 @@ def test_planted_fault_fails_its_check(monkeypatch, capsys, fault):
     assert entry.status == "fail"
     assert "claim" in entry.counterexample
     assert ringline.cli.main(["verify", "6"]) == 1
+
+
+@pytest.mark.parametrize("d", [12, 18])
+@pytest.mark.parametrize(
+    "fault", ["points-containing-drops-last-match", "line-size-formula-plus-one"]
+)
+def test_theorem1_catches_point_faults_off_square_free_d(monkeypatch, capsys, fault, d):
+    module, attribute, replacement, _ = PLANTED_FAULTS[fault]
+    monkeypatch.setattr(module, attribute, replacement)
+    assert ringline.cli.main(["verify", str(d)]) == 1
+    assert "FAIL theorem1" in capsys.readouterr().out
+
+
+def _points_keeping_v(v, m):
+    # an admissible v gets a point generated by v itself, canonical or not
+    if ringline.projline.is_admissible(v, m):
+        return [_point_through_keeping_v(v, m)]
+    return _points_containing(v, m)
+
+
+@pytest.mark.parametrize("d", [6, 12])
+def test_theorem1_checks_a_point_outside_the_enumeration(monkeypatch, d):
+    monkeypatch.setattr(ringline.projline, "points_containing", _points_keeping_v)
+    entry = verify_theorem1(make_modulus(d))
+    assert entry.status == "fail"
+    assert entry.counterexample["claim"] == (
+        "point through admissible vector differs from point_through"
+    )
+    assert entry.counterexample["vector"] == [0, 5]  # (0, 1) is canonical

@@ -207,12 +207,12 @@ def test_point_cache_is_bounded():
 
 
 def test_point_count_formula_up_to_105():
-    for m in square_free_moduli(105):
-        assert len(enumerate_points(m)) == line_size_formula(m)
+    for d in range(2, 106):
+        m = make_modulus(d)
+        assert len(enumerate_points(m)) == line_size_formula(m), d
     assert line_size_formula(make_modulus(30)) == 72
     assert line_size_formula(make_modulus(105)) == 192
-    with pytest.raises(ValueError):
-        line_size_formula(make_modulus(12))
+    assert line_size_formula(make_modulus(12)) == 24
 
 
 def test_points_containing_golden_example():
@@ -228,8 +228,10 @@ def test_points_containing_more_examples():
     m6 = make_modulus(6)
     assert len(points_containing((2, 3), m6)) == 1
     assert len(points_containing((0, 0), m6)) == 12
-    with pytest.raises(ValueError):
-        points_containing((1, 0), make_modulus(12))
+    m12 = make_modulus(12)
+    assert [p.generator for p in points_containing((1, 0), m12)] == [(1, 0)]
+    assert points_containing((0, 0), m12) == enumerate_points(m12)
+    assert len(points_containing((0, 0), m12)) == 24
 
 
 def test_index_set_K_examples():
@@ -273,6 +275,27 @@ def test_perp_union_equals_perp_exhaustive():
     for m in square_free_moduli(30):
         for v in all_vectors(m.d):
             assert perp_as_point_union(v, m) == perp_set(v, m).members
+
+
+def test_perp_union_is_a_proper_subset_at_d4():
+    # the first counterexample off square-free d: (0, 2) is orthogonal to
+    # (2, 0) and (2, 2), which lie in no point through (0, 2)
+    m4 = make_modulus(4)
+    union = perp_as_point_union((0, 2), m4)
+    perp = perp_set((0, 2), m4).members
+    assert len(union) == 6 and len(perp) == 8
+    assert union < perp
+
+
+def test_perp_union_inside_perp_with_equality_iff_square_free():
+    for d in range(2, 21):
+        m = make_modulus(d)
+        equal = True
+        for v in all_vectors(d):
+            union, perp = perp_as_point_union(v, m), perp_set(v, m).members
+            assert union <= perp, (d, v)
+            equal = equal and union == perp
+        assert equal == m.square_free, d
 
 
 def test_perp_union_of_zero_is_everything():
