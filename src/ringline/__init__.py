@@ -34,7 +34,7 @@ _EXPORTS = {
         "perp_as_point_union", "perp_size_formula", "point_count_formula", "point_through",
         "points_containing",
     ),
-    "ring": ("Modulus", "component", "invert", "is_unit", "make_modulus", "unit_count"),
+    "ring": ("Modulus", "is_unit", "make_modulus", "unit_count"),
     "symplectic": ("PerpSet", "Vector2", "form", "is_perp", "perp_rows", "perp_set"),
 }
 _SUBMODULES = ("cli", *_EXPORTS)

@@ -5,12 +5,18 @@ in Z_d^3, where X is the cyclic shift, Z the clock, and omega a fixed primitive
 d-th root of unity.  All arithmetic stays in the exponents; omega is never
 evaluated numerically (only its multiplicative order d matters).  The
 independent cross-check model is the exact generalized permutation matrix:
-one root-of-unity entry per column, encoded by exponent.
+one root-of-unity entry per column, encoded by exponent, held as the immutable
+tuple (dim, perm, expo).
+
+Operators and matrices built here go through tuple.__new__ directly: their
+entries are already reduced, and NamedTuple's generated Python-level __new__
+(or the matrix constructor's permutation check) about doubles the cost of
+building one in the group check's hot loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 from . import symplectic
@@ -38,29 +44,33 @@ MATRIX_LIMIT = 10**5
 
 def reduce_op(w: PauliOp, m: Modulus) -> PauliOp:
     d = m.d
-    return PauliOp(w.a % d, w.b % d, w.c % d)
+    a, b, c = w
+    return tuple.__new__(PauliOp, (a % d, b % d, c % d))
 
 
 def multiply(w: PauliOp, w2: PauliOp, m: Modulus) -> PauliOp:
     """Normal-form product: commuting Z^c past X^b' costs a factor omega^(b'c)."""
     d = m.d
-    return PauliOp((w2.b * w.c + w.a + w2.a) % d, (w.b + w2.b) % d, (w.c + w2.c) % d)
+    a, b, c = w
+    a2, b2, c2 = w2
+    return tuple.__new__(PauliOp, ((b2 * c + a + a2) % d, (b + b2) % d, (c + c2) % d))
 
 
 def inverse(w: PauliOp, m: Modulus) -> PauliOp:
     """Closed-form inverse (bc - a, -b, -c); validated against multiply in tests."""
     d = m.d
-    return PauliOp((w.b * w.c - w.a) % d, (-w.b) % d, (-w.c) % d)
+    a, b, c = w
+    return tuple.__new__(PauliOp, ((b * c - a) % d, -b % d, -c % d))
 
 
 def commutator(w: PauliOp, w2: PauliOp, m: Modulus) -> PauliOp:
     """The group commutator W W' W^-1 W'^-1, always the scalar omega^(cb'-c'b) I."""
-    return PauliOp(symplectic.form((w.b, w.c), (w2.b, w2.c), m), 0, 0)
+    return tuple.__new__(PauliOp, (symplectic.form((w.b, w.c), (w2.b, w2.c), m), 0, 0))
 
 
 def commutes(w: PauliOp, w2: PauliOp, m: Modulus) -> bool:
     """True iff the commutator is the identity; the omega-exponents never matter."""
-    return symplectic.form((w.b, w.c), (w2.b, w2.c), m) == 0
+    return symplectic.is_perp((w.b, w.c), (w2.b, w2.c), m)
 
 
 def centre(m: Modulus) -> frozenset[PauliOp]:
@@ -76,31 +86,41 @@ def commuting_count(w: PauliOp, m: Modulus) -> int:
     return d * perp_size_formula((w.b % d, w.c % d), m)
 
 
-@dataclass(frozen=True)
-class GenPermMatrix:
-    """Exact d x d generalized permutation matrix.
+class GenPermMatrix(tuple):
+    """Exact d x d generalized permutation matrix, the immutable tuple (dim, perm, expo).
 
     Column s carries a single non-zero entry omega^expo[s] in row perm[s].  No
-    floating point anywhere: commutation questions stay exact.
+    floating point anywhere: commutation questions stay exact.  Equality and
+    hashing are the tuple's.
     """
 
-    dim: int
-    perm: tuple[int, ...]
-    expo: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(self.dim)):
-            raise ValueError(f"perm {self.perm} is not a permutation of 0..{self.dim - 1}")
-        if len(self.expo) != self.dim:
+    def __new__(cls, dim: int, perm: tuple[int, ...], expo: tuple[int, ...]) -> GenPermMatrix:
+        if sorted(perm) != list(range(dim)):
+            raise ValueError(f"perm {perm} is not a permutation of 0..{dim - 1}")
+        if len(expo) != dim:
             raise ValueError("one exponent per column required")
+        return tuple.__new__(cls, (dim, tuple(perm), tuple(expo)))
+
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        return tuple(self)
+
+    dim = property(itemgetter(0))
+    perm = property(itemgetter(1))
+    expo = property(itemgetter(2))
 
     def __matmul__(self, other: GenPermMatrix) -> GenPermMatrix:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
-        d = self.dim
-        perm = tuple(self.perm[other.perm[s]] for s in range(d))
-        expo = tuple((other.expo[s] + self.expo[other.perm[s]]) % d for s in range(d))
-        return GenPermMatrix(d, perm, expo)
+        d, perm, expo = self
+        d2, perm2, expo2 = other
+        if d != d2:
+            raise ValueError(f"dimension mismatch: {d} != {d2}")
+        # a product of permutations is a permutation: no need to re-check it
+        return tuple.__new__(GenPermMatrix, (
+            d,
+            tuple(map(perm.__getitem__, perm2)),
+            tuple([(e + expo[p]) % d for p, e in zip(perm2, expo2)]),
+        ))
 
 
 def to_matrix(w: PauliOp, m: Modulus) -> GenPermMatrix:
@@ -111,10 +131,12 @@ def to_matrix(w: PauliOp, m: Modulus) -> GenPermMatrix:
     scales.  So column s holds omega^(a + cs) in row s + b.
     """
     d = m.d
-    w = reduce_op(w, m)
-    perm = tuple((s + w.b) % d for s in range(d))
-    expo = tuple((w.a + w.c * s) % d for s in range(d))
-    return GenPermMatrix(d, perm, expo)
+    a, b, c = reduce_op(w, m)
+    return tuple.__new__(GenPermMatrix, (
+        d,
+        tuple([(s + b) % d for s in range(d)]),
+        tuple([(a + c * s) % d for s in range(d)]),
+    ))
 
 
 def group_closure_order(m: Modulus) -> int:

@@ -60,14 +60,27 @@ class Point:
 
 
 def point_through(v: Vector2, m: Modulus) -> Point:
-    """The point generated by an admissible vector, with canonical generator."""
+    """The point generated by an admissible vector, with canonical generator.
+
+    The admissible members of Z_d * (b, c) are its unit multiples, and the
+    first coordinates u*b of those are the residues sharing g = gcd(b, d)
+    with d, the least of which is g.  So the canonical generator is (0, 1)
+    when b = 0, and otherwise (g, least u*c mod d) over the units u with
+    u*b = g, i.e. u = (b/g)^-1 mod d/g: g candidates instead of a scan of
+    the d members.
+    """
     d = m.d
-    v = (v[0] % d, v[1] % d)
+    b, c = v = (v[0] % d, v[1] % d)
     if not is_admissible(v, m):
-        raise ValueError(f"{v} is not admissible mod {d}: gcd = {math.gcd(v[0], v[1], d)}")
-    members = cyclic_submodule(v, m)
-    gen = min(w for w in members if is_admissible(w, m))
-    return Point(generator=gen, members=members)
+        raise ValueError(f"{v} is not admissible mod {d}: gcd = {math.gcd(b, c, d)}")
+    g = math.gcd(b, d)
+    if g == d:
+        gen = (0, 1)
+    else:
+        step = d // g
+        gen = (g, min(u * c % d for u in range(pow(b // g, -1, step), d, step)
+                      if math.gcd(u, d) == 1))
+    return Point(generator=gen, members=cyclic_submodule(v, m))
 
 
 @lru_cache(maxsize=8)

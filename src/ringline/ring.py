@@ -154,26 +154,3 @@ def unit_count(m: Modulus) -> int:
         n *= (p - 1) * p ** (mult - 1)
     return n
 
-
-def component(y: int, k: int, m: Modulus) -> int:
-    """The k-th CRT component of y (k is 1-based), as a residue mod p_k.
-
-    The field ideal belonging to p_k has a unique isomorphism onto Z_{p_k}; it
-    sends y * e_k to y mod p_k, and that residue is what we return.  Components
-    are additive and multiplicative: the component of x + y (or x * y) is the
-    sum (or product) of components mod p_k.
-    """
-    if not m.square_free:
-        raise ValueError(f"components are defined for square-free d only, got d={m.d}")
-    if not 1 <= k <= m.r:
-        raise ValueError(f"component index {k} out of range 1..{m.r}")
-    return y % m.factors[k - 1][0]
-
-
-def invert(x: int, m: Modulus) -> int:
-    """The inverse of x in Z_d; rejects non-units."""
-    x = x % m.d
-    g = math.gcd(x, m.d)
-    if g != 1:
-        raise ValueError(f"{x} is not a unit mod {m.d}: gcd({x}, {m.d}) = {g}")
-    return pow(x, -1, m.d)

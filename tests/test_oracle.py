@@ -385,6 +385,13 @@ def _point_through_keeping_v(v, m):
     return ringline.projline.Point(generator=v, members=ringline.projline.cyclic_submodule(v, m))
 
 
+def _matmul_dropping_left_phase(self, other):
+    # the product keeps the right factor's phases and loses the left one's
+    return ringline.pauli.GenPermMatrix(
+        self.dim, tuple(self.perm[p] for p in other.perm), other.expo
+    )
+
+
 # one planted bug per row: (module, attribute, replacement, the check that must FAIL)
 PLANTED_FAULTS = {
     "form-sign-flipped": (
@@ -409,6 +416,9 @@ PLANTED_FAULTS = {
             tuple(w.c * s % m.d for s in range(m.d)),
         ),
         "group",
+    ),
+    "matmul-drops-left-phase": (
+        ringline.pauli.GenPermMatrix, "__matmul__", _matmul_dropping_left_phase, "group",
     ),
     "idempotents-swapped": (
         ringline.cli, "make_modulus", _swapped_idempotents, "witness_construction",
@@ -454,6 +464,15 @@ def test_theorem1_catches_point_faults_off_square_free_d(monkeypatch, capsys, fa
     monkeypatch.setattr(module, attribute, replacement)
     assert ringline.cli.main(["verify", str(d)]) == 1
     assert "FAIL theorem1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("d", [6, 12])
+def test_group_catches_a_matmul_that_drops_the_left_phase(monkeypatch, d):
+    module, attribute, replacement, _ = PLANTED_FAULTS["matmul-drops-left-phase"]
+    monkeypatch.setattr(module, attribute, replacement)
+    entry = verify_group(make_modulus(d))
+    assert entry.status == "fail"
+    assert entry.counterexample["claim"] == "matrix model has no normal-form bijection"
 
 
 def _points_keeping_v(v, m):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -234,6 +236,46 @@ def test_commutes_agrees_with_matrix_commutation_exhaustive():
         for w1 in ops:
             for w2 in ops:
                 assert commutes(w1, w2, m) == (mats[w1] @ mats[w2] == mats[w2] @ mats[w1])
+
+
+def reference_to_matrix(w, m):
+    # generator-expression form of to_matrix, as (perm, expo)
+    d = m.d
+    a, b, c = w.a % d, w.b % d, w.c % d
+    return tuple((s + b) % d for s in range(d)), tuple((a + c * s) % d for s in range(d))
+
+
+def reference_matmul(left, right, d):
+    # generator-expression form of @ on (perm, expo) pairs
+    (perm, expo), (perm2, expo2) = left, right
+    return (
+        tuple(perm[perm2[s]] for s in range(d)),
+        tuple((expo2[s] + expo[perm2[s]]) % d for s in range(d)),
+    )
+
+
+def test_to_matrix_and_matmul_match_the_references_exhaustive():
+    for d in range(2, 7):
+        m = make_modulus(d)
+        ops = all_ops(d)
+        mats = {w: to_matrix(w, m) for w in ops}
+        refs = {w: reference_to_matrix(w, m) for w in ops}
+        for w in ops:
+            assert (mats[w].perm, mats[w].expo) == refs[w]
+        for w1 in ops:
+            for w2 in ops:
+                prod = mats[w1] @ mats[w2]
+                assert (prod.perm, prod.expo) == reference_matmul(refs[w1], refs[w2], d)
+
+
+def test_gen_perm_matrix_is_an_immutable_tuple():
+    mat = to_matrix(PauliOp(1, 2, 3), make_modulus(5))
+    assert mat == (5, (2, 3, 4, 0, 1), (1, 4, 2, 0, 3))
+    assert (mat.dim, mat.perm, mat.expo) == tuple(mat)
+    with pytest.raises(AttributeError):
+        mat.perm = (0, 1, 2, 3, 4)
+    for clone in (pickle.loads(pickle.dumps(mat)), copy.deepcopy(mat)):
+        assert clone == mat and type(clone) is GenPermMatrix
 
 
 def test_gen_perm_matrix_rejects_bad_shapes():

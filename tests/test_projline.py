@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -87,6 +88,34 @@ def test_point_through_canonical_generator():
     assert p.members == orbit((1, 0), 6)
     with pytest.raises(ValueError):
         point_through((2, 0), m6)
+
+
+def _reference_point_through(v, m):
+    # scan the orbit for its least admissible member
+    d = m.d
+    v = (v[0] % d, v[1] % d)
+    members = cyclic_submodule(v, m)
+    return min(w for w in members if is_admissible(w, m)), members
+
+
+def test_point_through_matches_the_orbit_scan_exhaustive():
+    for d in [*range(2, 61), 105]:
+        m = make_modulus(d)
+        for v in all_vectors(d):
+            if is_admissible(v, m):
+                p = point_through(v, m)
+                assert (p.generator, p.members) == _reference_point_through(v, m), (d, v)
+
+
+@pytest.mark.parametrize("d", [210, 330, 360, 1024, 2310])
+def test_point_through_matches_the_orbit_scan_random(d):
+    m = make_modulus(d)
+    rng = random.Random(d)
+    admissible = [v for v in ((rng.randrange(d), rng.randrange(d)) for _ in range(600))
+                  if is_admissible(v, m)]
+    for v in admissible[:300]:
+        p = point_through(v, m)
+        assert (p.generator, p.members) == _reference_point_through(v, m), v
 
 
 def test_point_equality_is_member_set_equality():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ringline.ring import Modulus, component, invert, is_unit, make_modulus, unit_count
+from ringline.ring import Modulus, is_unit, make_modulus, unit_count
 
 
 def square_free_moduli(limit):
@@ -140,63 +140,12 @@ def test_unit_count_matches_exhaustive():
         assert unit_count(m) == sum(1 for x in range(d) if math.gcd(x, d) == 1)
 
 
-def test_component_examples():
-    m6 = make_modulus(6)
-    assert component(2, 1, m6) == 0
-    assert component(2, 2, m6) == 2
-    for m in (m6, make_modulus(30)):
-        for k in range(1, m.r + 1):
-            assert component(1, k, m) == 1
-
-
-def test_component_rejections():
-    m12 = make_modulus(12)
-    with pytest.raises(ValueError):
-        component(5, 1, m12)
-    m6 = make_modulus(6)
-    with pytest.raises(ValueError):
-        component(5, 0, m6)
-    with pytest.raises(ValueError):
-        component(5, 3, m6)
-
-
-def test_componentwise_laws_exhaustive():
-    for m in square_free_moduli(30):
-        for k in range(1, m.r + 1):
-            p = m.factors[k - 1][0]
-            for x in range(m.d):
-                for y in range(m.d):
-                    assert component((x + y) % m.d, k, m) == (component(x, k, m) + component(y, k, m)) % p
-                    assert component((x * y) % m.d, k, m) == (component(x, k, m) * component(y, k, m)) % p
-
-
 def test_unit_iff_all_components_nonzero():
+    # the CRT component of x at p_k is x mod p_k
     for m in square_free_moduli(30):
         for x in range(m.d):
-            nonzero = all(component(x, k, m) != 0 for k in range(1, m.r + 1))
+            nonzero = all(x % p != 0 for p in m.primes)
             assert is_unit(x, m) == nonzero
-
-
-def test_invert_examples():
-    assert invert(5, make_modulus(6)) == 5
-    assert invert(2, make_modulus(7)) == 4
-    # derived by scanning u in 0..29 for 7u = 1 mod 30
-    scan = [u for u in range(30) if 7 * u % 30 == 1]
-    assert scan == [13]
-    assert invert(7, make_modulus(30)) == 13
-
-
-def test_invert_round_trips_all_units():
-    for d in range(2, 61):
-        m = make_modulus(d)
-        for x in range(d):
-            if is_unit(x, m):
-                assert x * invert(x, m) % d == 1
-
-
-def test_invert_names_offending_gcd():
-    with pytest.raises(ValueError, match="gcd\\(2, 6\\) = 2"):
-        invert(2, make_modulus(6))
 
 
 def test_modulus_json_shape():
