@@ -14,12 +14,11 @@ checked on every vector.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from . import pauli, projline, symplectic
 from .pauli import PauliOp
-from .ring import Modulus
+from .ring import Modulus, Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -30,26 +29,17 @@ CHECK_NAMES = ("group", "theorem1", "theorem2", "witness_construction")
 Counterexample = dict[str, Any]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named check: pass, fail with counterexample, or skip with the reason in scope."""
 
-    name: str
-    scope: str
-    status: str
-    counterexample: Counterexample | None
-    elapsed: float
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
+    __slots__ = ("name", "scope", "status", "counterexample", "elapsed")
 
     def to_json_dict(self, include_elapsed: bool = True) -> dict[str, Any]:
         out: dict[str, Any] = {
             "name": self.name,
             "scope": self.scope,
             "status": self.status,
-            "passed": self.passed,
+            "passed": self.status == PASS,
             "counterexample": self.counterexample,
         }
         if include_elapsed:
@@ -57,12 +47,10 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """All checks for one modulus; all_passed tolerates skips but not failures."""
 
-    d: int
-    checks: tuple[CheckResult, ...]
+    __slots__ = ("d", "checks")
 
     @property
     def all_passed(self) -> bool:
@@ -82,10 +70,6 @@ def _timed(name: str, scope: str, body: Callable[[], Counterexample | None]) -> 
     elapsed = time.perf_counter() - start
     status = PASS if counterexample is None else FAIL
     return CheckResult(name, scope, status, counterexample, elapsed)
-
-
-def _skipped(name: str, reason: str) -> CheckResult:
-    return CheckResult(name, reason, SKIP, None, 0.0)
 
 
 def _vectors(d: int) -> list[tuple[int, int]]:
@@ -403,8 +387,8 @@ def verify_all(m: Modulus, checks: Iterable[str] | None = None) -> VerificationR
         ("theorem2", verify_theorem2, square_free),
         ("witness_construction", verify_witness_construction, square_free),
     )
-    return VerificationReport(d=m.d, checks=tuple(
-        check(m) if skip is None else _skipped(name, skip)
+    return VerificationReport(m.d, tuple(
+        check(m) if skip is None else CheckResult(name, skip, SKIP, None, 0.0)
         for name, check, skip in table
         if name in names
     ))

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
 from . import symplectic
-from .ring import Modulus, is_unit
+from .ring import Modulus, Record, is_unit
 from .symplectic import Vector2
 
 
@@ -33,8 +32,7 @@ def cyclic_submodule(v: Vector2, m: Modulus) -> frozenset[Vector2]:
     return frozenset(((u * v[0]) % d, (u * v[1]) % d) for u in range(d))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A free cyclic submodule of Z_d^2 (a point of the line).
 
     ``generator`` is canonical: the lexicographically smallest admissible
@@ -43,8 +41,10 @@ class Point:
     ``point_through`` and by enumeration, and both store the canonical member.
     """
 
-    generator: Vector2
-    members: frozenset[Vector2] = field(compare=False)
+    __slots__ = ("generator", "members")
+
+    def _key(self) -> Vector2:
+        return self.generator
 
     def label(self, d: int) -> str:
         return f"Z{d}({self.generator[0]},{self.generator[1]})"
@@ -80,7 +80,7 @@ def point_through(v: Vector2, m: Modulus) -> Point:
         step = d // g
         gen = (g, min(u * c % d for u in range(pow(b // g, -1, step), d, step)
                       if math.gcd(u, d) == 1))
-    return Point(generator=gen, members=cyclic_submodule(v, m))
+    return Point(gen, cyclic_submodule(v, m))
 
 
 @lru_cache(maxsize=8)
@@ -100,7 +100,7 @@ def _points_cached(m: Modulus) -> tuple[Point, ...]:
                 continue
             for u in units:
                 seen[u * c % d] = 1
-            points.append(Point(generator=(g, c), members=cyclic_submodule((g, c), m)))
+            points.append(Point((g, c), cyclic_submodule((g, c), m)))
     return tuple(points)
 
 
@@ -173,20 +173,10 @@ def is_distant(p: Point, q: Point, m: Modulus) -> bool:
     return is_unit(symplectic.form(p.generator, q.generator, m), m)
 
 
-@dataclass(frozen=True)
-class NeighbourGraph:
+class NeighbourGraph(Record):
     """Simple undirected graph on the points; edges join distinct neighbouring points."""
 
-    d: int
-    vertices: tuple[Point, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def degree_sequence(self) -> list[int]:
-        deg = [0] * len(self.vertices)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+    __slots__ = ("d", "vertices", "edges")
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -213,4 +203,4 @@ def neighbour_graph(m: Modulus) -> NeighbourGraph:
         for j in range(i + 1, len(pts))
         if not is_distant(pts[i], pts[j], m)
     )
-    return NeighbourGraph(d=m.d, vertices=pts, edges=edges)
+    return NeighbourGraph(m.d, pts, edges)

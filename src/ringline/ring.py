@@ -4,12 +4,48 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Record:
+    """Base of the library's immutable values: fields are the ``__slots__``, set
+    once, by position.  Equality and hashing go through ``_key()`` (every field
+    unless a class narrows it) and hold only between instances of one class."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: Any) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, "
+                            f"got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _fields
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Modulus(Record):
     """A factored modulus d > 1, the arithmetic context threaded through everything.
 
     ``factors`` holds (prime, multiplicity) pairs with primes strictly increasing,
@@ -18,19 +54,13 @@ class Modulus:
     with e_k = 1 mod p_k and e_k = 0 mod every other prime factor; these are the
     units of the field ideals Z_d * (d / p_k) whose inner direct product is Z_d.
     For non-square-free d there is no such field decomposition and the slot is
-    None.
+    None.  Every field follows from d, so moduli compare and hash by d alone.
     """
 
-    d: int
-    factors: tuple[tuple[int, int], ...]
-    primes: tuple[int, ...]
-    square_free: bool
-    idempotents: tuple[int, ...] | None
+    __slots__ = ("d", "factors", "primes", "square_free", "idempotents")
 
-    @property
-    def r(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.primes)
+    def _key(self) -> int:
+        return self.d
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -134,8 +164,7 @@ def make_modulus(d: int) -> Modulus:
     idempotents: tuple[int, ...] | None = None
     if square_free:
         idempotents = tuple((d // p) * pow(d // p, -1, p) % d for p in primes)
-    return Modulus(d=d, factors=tuple(factors), primes=primes, square_free=square_free,
-                   idempotents=idempotents)
+    return Modulus(d, tuple(factors), primes, square_free, idempotents)
 
 
 def is_unit(x: int, m: Modulus) -> bool:

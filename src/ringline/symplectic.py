@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .ring import Modulus
+from .ring import Modulus, Record
 
 Vector2 = tuple[int, int]
 
@@ -26,12 +25,10 @@ def is_perp(v: Vector2, w: Vector2, m: Modulus) -> bool:
     return form(v, w, m) == 0
 
 
-@dataclass(frozen=True)
-class PerpSet:
+class PerpSet(Record):
     """All vectors orthogonal to ``base``; a submodule of Z_d^2 containing Z_d*base."""
 
-    base: Vector2
-    members: frozenset[Vector2]
+    __slots__ = ("base", "members")
 
     @property
     def size(self) -> int:
@@ -55,7 +52,7 @@ def perp_set(v: Vector2, m: Modulus) -> PerpSet:
     members = frozenset(
         (b, c) for b in range(d) for c in range(d) if form(base, (b, c), m) == 0
     )
-    return PerpSet(base=base, members=members)
+    return PerpSet(base, members)
 
 
 def perp_rows(m: Modulus) -> Iterator[tuple[Vector2, list[int]]]:

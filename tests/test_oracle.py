@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import ringline.cli
@@ -19,7 +17,7 @@ from ringline.oracle import (
     verify_witness_construction,
 )
 from ringline.pauli import PauliOp
-from ringline.ring import make_modulus
+from ringline.ring import Modulus, make_modulus
 
 
 def test_verify_all_passes_for_d6():
@@ -357,8 +355,9 @@ def test_theorem1_catches_a_dropped_or_duplicated_point(monkeypatch, d, fault):
 
 
 def _swapped_idempotents(d):
+    # equal to the real modulus (same d), so it shares its cached points
     m = make_modulus(d)
-    return dataclasses.replace(m, idempotents=m.idempotents[::-1])
+    return Modulus(m.d, m.factors, m.primes, m.square_free, m.idempotents[::-1])
 
 
 _points_containing = ringline.projline.points_containing
@@ -382,7 +381,7 @@ _line_size_formula = ringline.projline.line_size_formula
 
 def _point_through_keeping_v(v, m):
     v = (v[0] % m.d, v[1] % m.d)
-    return ringline.projline.Point(generator=v, members=ringline.projline.cyclic_submodule(v, m))
+    return ringline.projline.Point(v, ringline.projline.cyclic_submodule(v, m))
 
 
 def _matmul_dropping_left_phase(self, other):

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -198,7 +199,7 @@ def reference_points(m):
             if v in covered or not is_admissible(v, m):
                 continue
             members = cyclic_submodule(v, m)
-            points.append(Point(generator=v, members=members))
+            points.append(Point(v, members))
             covered.update(w for w in members if is_admissible(w, m))
     return points
 
@@ -380,7 +381,7 @@ def test_neighbour_graph_d6():
     g = neighbour_graph(make_modulus(6))
     assert len(g.vertices) == 12
     assert len(g.edges) == 30
-    assert g.degree_sequence() == [5] * 12
+    assert Counter(i for e in g.edges for i in e) == dict.fromkeys(range(12), 5)
     golden = json.loads((GOLDEN / "graph_d6.json").read_text())
     assert g.to_json_dict() == golden
 

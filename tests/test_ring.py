@@ -100,12 +100,12 @@ def test_idempotent_identities_exhaustive():
     # orthogonality, idempotency and sum-to-one, exactly, for square-free d <= 210
     for m in square_free_moduli(210):
         es = m.idempotents
-        assert es is not None and len(es) == m.r
+        assert es is not None and len(es) == len(m.primes)
         assert sum(es) % m.d == 1
         for i, (p, _) in enumerate(m.factors):
             assert es[i] % p == 1 % p
             assert (es[i] * es[i]) % m.d == es[i]
-            for j in range(m.r):
+            for j in range(len(m.primes)):
                 if j != i:
                     assert (es[i] * es[j]) % m.d == 0
                     assert es[i] % m.factors[j][0] == 0
