@@ -147,7 +147,7 @@ def cmd_points(args: argparse.Namespace, m: Modulus) -> int:
     from . import projline
 
     pts = projline.enumerate_points(m)
-    formula = projline.line_size_formula(m) if m.square_free else None
+    formula = projline.line_size_formula(m)
     _emit(args.format, {"d": m.d, "count": len(pts), "count_formula": formula, "points": pts},
           lambda: [*_kv(("d", m.d), ("points", len(pts)), ("points_formula", formula)),
                    *(_point_line(p, m.d) for p in pts)],
@@ -189,9 +189,7 @@ def cmd_count(args: argparse.Namespace, m: Modulus) -> int:
     from . import projline
 
     if not m.square_free:
-        raise ValueError(
-            f"count requires square-free d (the commutant formula is proved only there), got d={m.d}"
-        )
+        raise ValueError(f"count is limited to square-free d, got d={m.d}")
     v = (args.b % m.d, args.c % m.d)
     size_formula = projline.perp_size_formula(v, m)
     formula = m.d * size_formula

@@ -165,17 +165,17 @@ def verify_theorem1(m: Modulus) -> CheckResult:
 
 
 def verify_theorem2(m: Modulus) -> CheckResult:
-    """The three square-free counting claims, for every vector: number of
-    containing points, union of those points = perp-set, perp-set size; and
-    ``projline.index_set_K`` = the indices of the primes dividing both
-    coordinates.  The points and their union come from
-    ``projline.points_containing`` and ``projline.perp_as_point_union``, so the
-    check covers both."""
-    if not m.square_free:
-        raise ValueError(f"theorem2 check requires square-free d, got d={m.d}")
+    """The counting claims, for every vector at any d: number of containing
+    points, perp-set size, and ``projline.index_set_K`` = the indices of the
+    primes dividing both coordinates.  The union of the containing points lies
+    inside the perp-set, equals it for every vector at square-free d, and is a
+    proper subset for some vector at any other d.  The points and their union
+    come from ``projline.points_containing`` and
+    ``projline.perp_as_point_union``, so the check covers both."""
     d = m.d
 
     def body() -> Counterexample | None:
+        proper_union_seen = False
         for v in _vectors(d):
             containing = projline.points_containing(v, m)
             expected_points = projline.point_count_formula(v, m)
@@ -188,7 +188,7 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                 }
             union = projline.perp_as_point_union(v, m)
             perp = symplectic.perp_set(v, m).members
-            if union != perp:
+            if not union <= perp or (m.square_free and union != perp):
                 return {
                     "claim": "union of containing points differs from perp-set",
                     "vector": list(v),
@@ -197,6 +197,7 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "union_minus_perp": [list(w) for w in sorted(union - perp)],
                     "perp_minus_union": [list(w) for w in sorted(perp - union)],
                 }
+            proper_union_seen = proper_union_seen or union < perp
             expected_size = projline.perp_size_formula(v, m)
             if len(perp) != expected_size:
                 return {
@@ -214,6 +215,12 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "expected": sorted(vanishing),
                     "actual": sorted(index_set),
                 }
+        if not (m.square_free or proper_union_seen):
+            return {
+                "claim": "every union of containing points equals its perp-set, "
+                         "but d is not square-free",
+                "d": d,
+            }
         return None
 
     return _timed("theorem2", f"all {d * d} vectors of Z_{d}^2", body)
@@ -379,13 +386,13 @@ def verify_all(m: Modulus, checks: Iterable[str] | None = None) -> VerificationR
             f"unknown check names: {sorted(unknown)}; valid names: {list(CHECK_NAMES)}"
         )
     # Built per call, so wrappers set on the module's verify_* attributes take effect.
-    square_free = None if m.square_free else "skipped: requires square-free d"
     table = (
         ("group", verify_group, None if m.d <= pauli.CLOSURE_LIMIT
          else f"skipped: group closure is bounded to d <= {pauli.CLOSURE_LIMIT}"),
         ("theorem1", verify_theorem1, None),
-        ("theorem2", verify_theorem2, square_free),
-        ("witness_construction", verify_witness_construction, square_free),
+        ("theorem2", verify_theorem2, None),
+        ("witness_construction", verify_witness_construction,
+         None if m.square_free else "skipped: requires square-free d"),
     )
     return VerificationReport(m.d, tuple(
         check(m) if skip is None else CheckResult(name, skip, SKIP, None, 0.0)

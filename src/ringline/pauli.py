@@ -79,11 +79,8 @@ def centre(m: Modulus) -> frozenset[PauliOp]:
 
 
 def commuting_count(w: PauliOp, m: Modulus) -> int:
-    """Number of group elements commuting with w: d times the perp-set size of (b, c)."""
-    if not m.square_free:
-        raise ValueError(f"commuting_count requires square-free d, got d={m.d}")
-    d = m.d
-    return d * perp_size_formula((w.b % d, w.c % d), m)
+    """Number of group elements commuting with w, any d: d times the perp-set size of (b, c)."""
+    return m.d * perp_size_formula((w.b, w.c), m)
 
 
 class GenPermMatrix(tuple):

@@ -1,4 +1,4 @@
-"""The projective line over Z_d: points as free cyclic submodules, counting, incidence."""
+"""The projective line over Z_d: points as free cyclic submodules, counting, incidence; any d."""
 
 from __future__ import annotations
 
@@ -15,9 +15,8 @@ def is_admissible(v: Vector2, m: Modulus) -> bool:
     """True iff v = (b, c) is unimodular over Z_d, i.e. gcd(b, c, d) = 1.
 
     Equivalent formulations: some u, w solve u*b + w*c = 1; v is the first row
-    of an invertible 2x2 matrix; v extends to a basis of Z_d^2.  For square-free
-    d this is also equivalent to v having a non-zero component pair at every
-    prime, i.e. index_set_K(v, m) being empty.
+    of an invertible 2x2 matrix; v extends to a basis of Z_d^2; no prime of d
+    divides both coordinates, i.e. index_set_K(v, m) is empty.
     """
     return math.gcd(v[0], v[1], m.d) == 1
 
@@ -118,33 +117,29 @@ def line_size_formula(m: Modulus) -> int:
     return math.prod(p ** (n - 1) * (p + 1) for p, n in m.factors)
 
 
-def _vanishing_gcd(v: Vector2, m: Modulus) -> int:
-    """g = gcd(b, c, d), whose primes are exactly the primes that kill v."""
-    if not m.square_free:
-        raise ValueError(f"index set K requires square-free d, got d={m.d}")
-    return math.gcd(v[0], v[1], m.d)
-
-
 def index_set_K(v: Vector2, m: Modulus) -> frozenset[int]:
     """The 1-based indices k whose prime kills v: b = c = 0 mod p_k.
 
-    These are the indices of the primes of gcd(b, c, d), so K is empty exactly
-    when v is admissible.  Every counting formula for square-free d is
-    controlled by this set.
+    These are the indices of the primes of gcd(b, c, d), at any d, so K is
+    empty exactly when v is admissible.  For square-free d every counting
+    formula is controlled by this set.
     """
-    g = _vanishing_gcd(v, m)
+    g = math.gcd(v[0], v[1], m.d)
     return frozenset(k for k, p in enumerate(m.primes, start=1) if g % p == 0)
 
 
 def point_count_formula(v: Vector2, m: Modulus) -> int:
-    """Predicted number of points containing v: product of (p + 1) over p | gcd(b, c, d)."""
-    g = _vanishing_gcd(v, m)
-    return math.prod(p + 1 for p in m.primes if g % p == 0)
+    """Predicted number of points containing v, any d: with g = gcd(b, c, d),
+    the product over p^n || d of p^(n-1) * (p + 1) when p^n | g, and of
+    gcd(g, p^n) otherwise; for square-free d, the product of (p + 1) over p | g."""
+    g = math.gcd(v[0], v[1], m.d)
+    return math.prod(p ** (n - 1) * (p + 1) if g % p**n == 0 else math.gcd(g, p**n)
+                     for p, n in m.factors)
 
 
 def perp_size_formula(v: Vector2, m: Modulus) -> int:
-    """Predicted perp-set size: d * gcd(b, c, d), i.e. d times the product of the primes in K."""
-    return m.d * _vanishing_gcd(v, m)
+    """Predicted perp-set size, any d: d * gcd(b, c, d)."""
+    return m.d * math.gcd(v[0], v[1], m.d)
 
 
 def points_containing(v: Vector2, m: Modulus) -> list[Point]:

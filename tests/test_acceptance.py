@@ -213,3 +213,15 @@ def test_criterion_11_theorem1_at_d105():
     assert entry.status == "pass", entry.counterexample
     assert elapsed < 3.0, f"took {elapsed:.2f} s"
     print(f"PASS criterion 11: theorem1 over all 11025 vectors of Z_105^2, {elapsed:.2f} s")
+
+
+def test_criterion_12_theorem2_at_non_square_free_d36():
+    # cold, like criterion 11; 36 = 2^2 * 3^2, so theorem2 must also find a
+    # vector whose points cover only part of its perp-set
+    ringline.projline._points_cached.cache_clear()
+    start = time.perf_counter()
+    entry = verify_theorem2(make_modulus(36))
+    elapsed = time.perf_counter() - start
+    assert entry.status == "pass", entry.counterexample
+    assert elapsed < 2.0, f"took {elapsed:.2f} s"
+    print(f"PASS criterion 12: theorem2 over all 1296 vectors of Z_36^2, {elapsed:.2f} s")

@@ -295,7 +295,7 @@ def test_count_d15(capsys):
 def test_count_rejects_non_square_free(capsys):
     code, _, err = run(capsys, "count", "12", "1", "0")
     assert code == 2
-    assert "square-free" in err
+    assert "count is limited to square-free d, got d=12" in err
 
 
 def test_count_brute_bound(capsys):
@@ -338,7 +338,8 @@ def test_verify_exit_zero(capsys):
 def test_verify_skips_but_passes_for_d12(capsys):
     code, out, _ = run(capsys, "verify", "12")
     assert code == 0
-    assert "SKIP theorem2  skipped: requires square-free d" in out
+    assert "PASS theorem2  all 144 vectors of Z_12^2" in out
+    assert "SKIP witness_construction  skipped: requires square-free d" in out
     assert "all_passed = true" in out
 
 
@@ -380,7 +381,7 @@ def test_verify_csv(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "name,status,scope"
-    assert any(line.startswith("theorem2,skip,") for line in lines)
+    assert "witness_construction,skip,skipped: requires square-free d" in lines
 
 
 def test_outputs_are_byte_identical_on_rerun(capsys):

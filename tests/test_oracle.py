@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import ringline.cli
@@ -32,11 +34,18 @@ def test_verify_all_skips_square_free_checks_for_d12():
     report = verify_all(make_modulus(12))
     by_name = {c.name: c for c in report.checks}
     assert by_name["theorem1"].status == "pass"
-    assert by_name["theorem2"].status == "skip"
-    assert "square-free" in by_name["theorem2"].scope
+    assert by_name["theorem2"].status == "pass"
+    assert by_name["theorem2"].scope == "all 144 vectors of Z_12^2"
     assert by_name["witness_construction"].status == "skip"
+    assert "square-free" in by_name["witness_construction"].scope
     assert by_name["group"].status == "pass"
     assert report.all_passed  # skips do not fail a report
+
+
+def test_verify_all_runs_theorem2_at_every_d():
+    for d in range(2, 25):
+        (entry,) = verify_all(make_modulus(d), checks=["theorem2"]).checks
+        assert entry.status == "pass", (d, entry.counterexample)
 
 
 def test_verify_all_skips_group_for_large_d():
@@ -63,9 +72,7 @@ def test_verify_all_check_subset():
 
 def test_theorem_checks_reject_non_square_free():
     m12 = make_modulus(12)
-    with pytest.raises(ValueError):
-        verify_theorem2(m12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square-free"):
         verify_witness_construction(m12)
     with pytest.raises(ValueError, match="32"):
         verify_group(make_modulus(34))
@@ -79,6 +86,44 @@ def test_theorem1_holds_without_square_freeness():
 def test_theorem2_passes_for_small_square_free():
     for d in (2, 10, 30):
         assert verify_theorem2(make_modulus(d)).status == "pass"
+
+
+def _perp_members(v, m):
+    return ringline.symplectic.perp_set(v, m).members
+
+
+@pytest.mark.parametrize("d", [4, 12, 18])
+def test_theorem2_must_find_a_proper_union_off_square_free_d(monkeypatch, d):
+    monkeypatch.setattr(ringline.projline, "perp_as_point_union", _perp_members)
+    entry = verify_theorem2(make_modulus(d))
+    assert entry.status == "fail"
+    assert entry.counterexample == {
+        "claim": "every union of containing points equals its perp-set, but d is not square-free",
+        "d": d,
+    }
+
+
+def test_theorem2_takes_a_perp_set_union_as_no_fault_at_square_free_d(monkeypatch):
+    monkeypatch.setattr(ringline.projline, "perp_as_point_union", _perp_members)
+    assert verify_theorem2(make_modulus(6)).status == "pass"
+
+
+def _square_free_point_count(v, m):
+    g = math.gcd(v[0], v[1], m.d)
+    return math.prod(p + 1 for p in m.primes if g % p == 0)
+
+
+def test_theorem2_catches_the_square_free_point_count_at_d12(monkeypatch):
+    monkeypatch.setattr(ringline.projline, "point_count_formula", _square_free_point_count)
+    assert verify_theorem2(make_modulus(6)).status == "pass"
+    entry = verify_theorem2(make_modulus(12))
+    assert entry.status == "fail"
+    assert entry.counterexample == {
+        "claim": "point count through vector differs from formula",
+        "vector": [0, 0],
+        "expected": 12,
+        "actual": 24,
+    }
 
 
 def test_group_check_passes():
@@ -463,6 +508,16 @@ def test_theorem1_catches_point_faults_off_square_free_d(monkeypatch, capsys, fa
     monkeypatch.setattr(module, attribute, replacement)
     assert ringline.cli.main(["verify", str(d)]) == 1
     assert "FAIL theorem1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "fault", sorted(f for f, row in PLANTED_FAULTS.items() if row[3] == "theorem2")
+)
+def test_theorem2_faults_fail_verify_off_square_free_d(monkeypatch, capsys, fault):
+    module, attribute, replacement, _ = PLANTED_FAULTS[fault]
+    monkeypatch.setattr(module, attribute, replacement)
+    assert ringline.cli.main(["verify", "12"]) == 1
+    assert "\nFAIL theorem2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("d", [6, 12])

@@ -24,6 +24,7 @@ from ringline.pauli import (
     to_matrix,
 )
 from ringline.ring import make_modulus
+from ringline.symplectic import perp_set
 
 
 def all_ops(d):
@@ -177,9 +178,10 @@ def test_commuting_count_examples():
         assert brute == commuting_count(w, m6)
 
 
-def test_commuting_count_rejects_non_square_free():
-    with pytest.raises(ValueError):
-        commuting_count(X, make_modulus(12))
+def test_commuting_count_at_non_square_free_d12():
+    m12 = make_modulus(12)
+    for w in (X, PauliOp(0, 2, 0), PauliOp(5, 6, 3), PauliOp(0, 0, 0), PauliOp(1, 14, -2)):
+        assert commuting_count(w, m12) == 12 * perp_set((w.b, w.c), m12).size
 
 
 def test_commutant_size_spectrum_d10():

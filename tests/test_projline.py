@@ -21,8 +21,9 @@ from ringline.projline import (
     point_through,
     points_containing,
 )
+from ringline.pauli import PauliOp, commuting_count
 from ringline.ring import is_unit, make_modulus
-from ringline.symplectic import perp_set
+from ringline.symplectic import perp_rows, perp_set
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -269,8 +270,10 @@ def test_index_set_K_examples():
     assert index_set_K((2, 0), m6) == {1}
     assert index_set_K((2, 3), m6) == frozenset()
     assert index_set_K((0, 0), m6) == {1, 2}
-    with pytest.raises(ValueError):
-        index_set_K((1, 0), make_modulus(12))
+    m12 = make_modulus(12)
+    assert index_set_K((1, 0), m12) == frozenset()
+    assert index_set_K((2, 4), m12) == {1}
+    assert index_set_K((6, 0), m12) == {1, 2}
 
 
 def test_counting_formulas_examples():
@@ -281,16 +284,28 @@ def test_counting_formulas_examples():
     assert point_count_formula((2, 0), m6) == 3
     assert point_count_formula((2, 3), m6) == 1
     assert point_count_formula((0, 0), m6) == 12
-    with pytest.raises(ValueError):
-        perp_size_formula((1, 0), make_modulus(12))
+    m12 = make_modulus(12)
+    assert perp_size_formula((1, 0), m12) == 12
+    assert perp_size_formula((2, 0), m12) == 24
+    assert perp_size_formula((0, 0), m12) == 144
+    # 4 does not divide g = 2, so (2, 0) lies in gcd(2, 4) = 2 points, not 2 + 1
+    assert point_count_formula((2, 0), m12) == 2
+    assert point_count_formula((6, 0), m12) == 8
+    assert point_count_formula((0, 0), m12) == 24
+    assert point_count_formula((0, 2), make_modulus(4)) == 2
 
 
 def test_counting_formulas_exhaustive():
-    # both predicted counts against full enumeration, all square-free d <= 30
-    for m in square_free_moduli(30):
-        for v in all_vectors(m.d):
-            assert len(points_containing(v, m)) == point_count_formula(v, m)
-            assert perp_set(v, m).size == perp_size_formula(v, m)
+    # every predicted count against full enumeration, at every d <= 40
+    for d in range(2, 41):
+        m = make_modulus(d)
+        for v, rows in perp_rows(m):
+            perp_size = sum(row.bit_count() for row in rows)
+            assert len(points_containing(v, m)) == point_count_formula(v, m), (d, v)
+            assert perp_size == perp_size_formula(v, m), (d, v)
+            assert d * perp_size == commuting_count(PauliOp(0, *v), m), (d, v)
+            vanishing = {k for k, p in enumerate(m.primes, 1) if v[0] % p == v[1] % p == 0}
+            assert index_set_K(v, m) == vanishing, (d, v)
 
 
 def test_perp_union_golden_example():
