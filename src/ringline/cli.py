@@ -83,7 +83,7 @@ def _vecs(vectors: Iterable[tuple[int, int]]) -> str:
 
 
 def _point_line(p: Point, d: int) -> str:
-    return f"point {p.label(d)} = {_vecs(p.sorted_members())}"
+    return f"point {p.label(d)} = {_vecs(sorted(p.members))}"
 
 
 def _emit(fmt: str, record: Any, text: Callable[[], list[str]],
@@ -134,11 +134,11 @@ def cmd_perp(args: argparse.Namespace, m: Modulus) -> int:
     _emit(args.format, record,
           lambda: [*_kv(("d", m.d), ("vector", v), ("perp_size", ps.size),
                         ("perp_size_formula", size_formula),
-                        ("members", _vecs(ps.sorted_members())),
+                        ("members", _vecs(sorted(ps.members))),
                         ("points_containing", n_points), ("points_formula", count_formula)),
                    *(_point_line(p, m.d) for p in points or ()),
                    *_kv(("union_equals_perp", union_ok))],
-          lambda: [("b", "c"), *ps.sorted_members()])
+          lambda: [("b", "c"), *sorted(ps.members)])
     agree = union_ok and size_formula == ps.size and count_formula == n_points
     return 1 if m.square_free and not agree else 0
 
@@ -152,7 +152,7 @@ def cmd_points(args: argparse.Namespace, m: Modulus) -> int:
           lambda: [*_kv(("d", m.d), ("points", len(pts)), ("points_formula", formula)),
                    *(_point_line(p, m.d) for p in pts)],
           lambda: [("generator_b", "generator_c", "members"),
-                   *((*p.generator, " ".join(f"{b}:{c}" for b, c in p.sorted_members()))
+                   *((*p.generator, " ".join(f"{b}:{c}" for b, c in sorted(p.members)))
                      for p in pts)])
     return 0
 

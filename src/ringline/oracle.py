@@ -7,8 +7,8 @@ check that does not apply is reported as skipped, never silently passed.
 
 ``theorem1`` and ``witness_construction`` read perp-sets as bit rows from
 ``symplectic.perp_rows``, which gets all d^4 pairs from 2d^2 values of the form
-by bilinearity; ``theorem2`` keeps ``symplectic.perp_set`` so that it stays
-checked on every vector.
+by bilinearity; ``theorem2`` keeps ``symplectic.perp_set``, checked on every
+vector, and also checks ``projline.neighbour_graph``.
 """
 
 from __future__ import annotations
@@ -131,13 +131,6 @@ def verify_theorem1(m: Modulus) -> CheckResult:
                         "perp_size": sum(row.bit_count() for row in perp),
                         "orbit_size": len(through.members),
                     }
-                for p, rows in containing:
-                    if rows != orbit:
-                        return {
-                            "claim": "point through admissible vector differs from its orbit",
-                            "vector": list(v),
-                            "point": p.to_json_dict(),
-                        }
                 if len(containing) != 1:
                     return {
                         "claim": f"admissible vector lies in {len(containing)} points, "
@@ -145,8 +138,8 @@ def verify_theorem1(m: Modulus) -> CheckResult:
                         "vector": list(v),
                         "generators": [list(p.generator) for p, _ in containing],
                     }
-                ((p, _),) = containing
-                if p != through:
+                ((p, rows),) = containing
+                if p != through or rows != orbit:
                     return {
                         "claim": "point through admissible vector differs from point_through",
                         "vector": list(v),
@@ -167,11 +160,11 @@ def verify_theorem1(m: Modulus) -> CheckResult:
 def verify_theorem2(m: Modulus) -> CheckResult:
     """The counting claims, for every vector at any d: number of containing
     points, perp-set size, and ``projline.index_set_K`` = the indices of the
-    primes dividing both coordinates.  The union of the containing points lies
-    inside the perp-set, equals it for every vector at square-free d, and is a
-    proper subset for some vector at any other d.  The points and their union
-    come from ``projline.points_containing`` and
-    ``projline.perp_as_point_union``, so the check covers both."""
+    primes dividing both coordinates.  The union of the containing points
+    (``projline.points_containing``, ``perp_as_point_union``) lies inside the
+    perp-set, equals it at square-free d, and is a proper subset for some
+    vector at any other d; the perp-set members outside it must be orthogonal.
+    Neighbour graph edges join exactly the points sharing a non-zero vector."""
     d = m.d
 
     def body() -> Counterexample | None:
@@ -197,6 +190,12 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "union_minus_perp": [list(w) for w in sorted(union - perp)],
                     "perp_minus_union": [list(w) for w in sorted(perp - union)],
                 }
+            if any(symplectic.form(v, w, m) for w in perp - union):
+                return {
+                    "claim": "perp-set member not orthogonal to its vector",
+                    "vector": list(v),
+                    "members": [list(w) for w in sorted(perp - union) if symplectic.form(v, w, m)],
+                }
             proper_union_seen = proper_union_seen or union < perp
             expected_size = projline.perp_size_formula(v, m)
             if len(perp) != expected_size:
@@ -215,6 +214,14 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "expected": sorted(vanishing),
                     "actual": sorted(index_set),
                 }
+        pts, edges = projline.enumerate_points(m), projline.neighbour_graph(m).edges
+        sharing = tuple((i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                        if len(pts[i].members & pts[j].members) > 1)
+        if edges != sharing:
+            return {
+                "claim": "neighbour graph differs from the point pairs sharing a non-zero vector",
+                "differing_edges": [list(e) for e in sorted(set(edges) ^ set(sharing))],
+            }
         if not (m.square_free or proper_union_seen):
             return {
                 "claim": "every union of containing points equals its perp-set, "

@@ -48,13 +48,10 @@ class Point(Record):
     def label(self, d: int) -> str:
         return f"Z{d}({self.generator[0]},{self.generator[1]})"
 
-    def sorted_members(self) -> list[Vector2]:
-        return sorted(self.members)
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "generator": list(self.generator),
-            "members": [list(w) for w in self.sorted_members()],
+            "members": [list(w) for w in sorted(self.members)],
         }
 
 
@@ -112,17 +109,16 @@ def enumerate_points(m: Modulus) -> list[Point]:
 
 
 def line_size_formula(m: Modulus) -> int:
-    """Predicted number of points, d * prod (1 + 1/p): the product of
-    p^(n-1) * (p + 1) over p^n || d, i.e. of (p + 1) for square-free d."""
-    return math.prod(p ** (n - 1) * (p + 1) for p, n in m.factors)
+    """Predicted number of points, d * prod (1 + 1/p) over the primes of d: the
+    zero vector lies on every point, so this is ``point_count_formula((0, 0))``."""
+    return point_count_formula((0, 0), m)
 
 
 def index_set_K(v: Vector2, m: Modulus) -> frozenset[int]:
     """The 1-based indices k whose prime kills v: b = c = 0 mod p_k.
 
     These are the indices of the primes of gcd(b, c, d), at any d, so K is
-    empty exactly when v is admissible.  For square-free d every counting
-    formula is controlled by this set.
+    empty exactly when v is admissible.
     """
     g = math.gcd(v[0], v[1], m.d)
     return frozenset(k for k, p in enumerate(m.primes, start=1) if g % p == 0)

@@ -34,13 +34,10 @@ class PerpSet(Record):
     def size(self) -> int:
         return len(self.members)
 
-    def sorted_members(self) -> list[Vector2]:
-        return sorted(self.members)
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "base": list(self.base),
-            "members": [list(w) for w in self.sorted_members()],
+            "members": [list(w) for w in sorted(self.members)],
             "size": self.size,
         }
 

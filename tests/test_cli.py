@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -368,6 +369,16 @@ def test_verify_timings_flag_adds_elapsed(capsys):
     code, out, _ = run(capsys, "verify", "6", "--checks", "theorem1", "--format", "json", "--timings")
     assert code == 0
     assert "elapsed" in json.loads(out)["checks"][0]
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_verify_timings_flag_in_text(capsys, timings):
+    code, out, _ = run(capsys, "verify", "6", *(["--timings"] if timings else []))
+    assert code == 0
+    check_lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL", "SKIP"))]
+    assert len(check_lines) == len(oracle.CHECK_NAMES)
+    ends_with_time = [bool(re.search(r"  \(\d+\.\d{3}s\)$", line)) for line in check_lines]
+    assert ends_with_time == [timings] * len(check_lines)
 
 
 def test_verify_help_lists_the_oracle_check_names(capsys):

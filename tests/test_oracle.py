@@ -3,6 +3,7 @@ import math
 import pytest
 
 import ringline.cli
+import ringline.oracle
 import ringline.pauli
 import ringline.projline
 import ringline.symplectic
@@ -124,6 +125,11 @@ def test_theorem2_catches_the_square_free_point_count_at_d12(monkeypatch):
         "expected": 12,
         "actual": 24,
     }
+
+
+def test_construct_witness_rejects_non_square_free_d():
+    with pytest.raises(ValueError, match="^witness construction requires square-free d, got d=12$"):
+        construct_witness((1, 0), (0, 0), make_modulus(12))
 
 
 def test_group_check_passes():
@@ -429,6 +435,58 @@ def _point_through_keeping_v(v, m):
     return ringline.projline.Point(v, ringline.projline.cyclic_submodule(v, m))
 
 
+def _points_with_a_member_missing(v, m):
+    # an admissible v gets its canonical point without the zero vector
+    if ringline.projline.is_admissible(v, m):
+        p = ringline.projline.point_through(v, m)
+        return [ringline.projline.Point(p.generator, p.members - {(0, 0)})]
+    return _points_containing(v, m)
+
+
+_perp_set = ringline.symplectic.perp_set
+
+
+def _perp_set_swapping_a_member(v, m):
+    # the largest member outside the union of the points through v becomes the
+    # least non-member; at square-free d, where none lies outside, the largest
+    # member does
+    ps = _perp_set(v, m)
+    outside = ps.members - ringline.projline.perp_as_point_union(v, m)
+    non_members = [(b, c) for b in range(m.d) for c in range(m.d) if (b, c) not in ps.members]
+    if not non_members or not (outside or m.square_free):
+        return ps
+    swapped = ps.members - {max(outside or ps.members)} | {non_members[0]}
+    return ringline.symplectic.PerpSet(ps.base, swapped)
+
+
+_is_distant = ringline.projline.is_distant
+_neighbour_graph = ringline.projline.neighbour_graph
+
+
+def _neighbour_graph_without_last_edge(m):
+    g = _neighbour_graph(m)
+    return ringline.projline.NeighbourGraph(g.d, g.vertices, g.edges[:-1])
+
+
+_construct_witness = ringline.oracle.construct_witness
+
+
+def _witness_with_u_plus_one(v, w, m):
+    gen, u, s = _construct_witness(v, w, m)
+    return gen, u + 1, s
+
+
+def _witness_with_s_plus_one(v, w, m):
+    gen, u, s = _construct_witness(v, w, m)
+    return gen, u, s + 1
+
+
+_perp_size_formula = ringline.projline.perp_size_formula
+_group_closure_order = ringline.pauli.group_closure_order
+_centre = ringline.pauli.centre
+_commuting_count = ringline.pauli.commuting_count
+
+
 def _matmul_dropping_left_phase(self, other):
     # the product keeps the right factor's phases and loses the left one's
     return ringline.pauli.GenPermMatrix(
@@ -486,6 +544,53 @@ PLANTED_FAULTS = {
     "index-set-K-always-empty": (
         ringline.projline, "index_set_K", lambda v, m: frozenset(), "theorem2",
     ),
+    "is-distant-negated": (
+        ringline.projline, "is_distant", lambda p, q, m: not _is_distant(p, q, m), "theorem2",
+    ),
+    "neighbour-graph-drops-an-edge": (
+        ringline.projline, "neighbour_graph", _neighbour_graph_without_last_edge, "theorem2",
+    ),
+    "perp-set-swaps-a-member": (
+        ringline.symplectic, "perp_set", _perp_set_swapping_a_member, "theorem2",
+    ),
+    "perp-size-formula-plus-one": (
+        ringline.projline, "perp_size_formula", lambda v, m: _perp_size_formula(v, m) + 1,
+        "theorem2",
+    ),
+    "witness-u-plus-one": (
+        ringline.oracle, "construct_witness", _witness_with_u_plus_one, "witness_construction",
+    ),
+    "witness-s-plus-one": (
+        ringline.oracle, "construct_witness", _witness_with_s_plus_one, "witness_construction",
+    ),
+    "closure-order-plus-one": (
+        ringline.pauli, "group_closure_order", lambda m: _group_closure_order(m) + 1, "group",
+    ),
+    "centre-without-identity": (
+        ringline.pauli, "centre", lambda m: _centre(m) - {ringline.pauli.IDENTITY}, "group",
+    ),
+    "commuting-count-plus-one": (
+        ringline.pauli, "commuting_count", lambda w, m: _commuting_count(w, m) + 1, "group",
+    ),
+    "points-containing-drops-a-member": (
+        ringline.projline, "points_containing", _points_with_a_member_missing, "theorem1",
+    ),
+}
+
+# the exact claim each of these rows produces at d=6
+PLANTED_CLAIMS = {
+    "is-distant-negated": "neighbour graph differs from the point pairs sharing a non-zero vector",
+    "neighbour-graph-drops-an-edge":
+        "neighbour graph differs from the point pairs sharing a non-zero vector",
+    "perp-set-swaps-a-member": "union of containing points differs from perp-set",
+    "perp-size-formula-plus-one": "perp-set size differs from formula",
+    "witness-u-plus-one": "scalar u does not map generator to v",
+    "witness-s-plus-one": "scalar s does not map generator to w",
+    "closure-order-plus-one": "closure of {X, Z} has wrong order",
+    "centre-without-identity": "brute-force centre differs from the scalars",
+    "commuting-count-plus-one": "exhaustive commutant size differs from formula",
+    "points-containing-drops-a-member":
+        "point through admissible vector differs from point_through",
 }
 
 
@@ -497,6 +602,43 @@ def test_planted_fault_fails_its_check(monkeypatch, capsys, fault):
     assert entry.status == "fail"
     assert "claim" in entry.counterexample
     assert ringline.cli.main(["verify", "6"]) == 1
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_CLAIMS))
+def test_planted_fault_reports_its_claim_at_d6(monkeypatch, fault):
+    module, attribute, replacement, check = PLANTED_FAULTS[fault]
+    monkeypatch.setattr(module, attribute, replacement)
+    (entry,) = verify_all(make_modulus(6), checks=[check]).checks
+    assert entry.status == "fail"
+    assert entry.counterexample["claim"] == PLANTED_CLAIMS[fault]
+
+
+@pytest.mark.parametrize("d", [12, 30])
+@pytest.mark.parametrize("fault", ["is-distant-negated", "neighbour-graph-drops-an-edge"])
+def test_theorem2_catches_neighbour_faults_beyond_d6(monkeypatch, capsys, fault, d):
+    module, attribute, replacement, _ = PLANTED_FAULTS[fault]
+    monkeypatch.setattr(module, attribute, replacement)
+    assert ringline.cli.main(["verify", str(d), "--checks", "theorem2"]) == 1
+    assert PLANTED_CLAIMS[fault] in capsys.readouterr().out
+
+
+def test_theorem2_names_the_edges_a_dropped_edge_leaves_out(monkeypatch):
+    module, attribute, replacement, _ = PLANTED_FAULTS["neighbour-graph-drops-an-edge"]
+    monkeypatch.setattr(module, attribute, replacement)
+    m = make_modulus(6)
+    entry = verify_theorem2(m)
+    assert entry.counterexample["differing_edges"] == [list(_neighbour_graph(m).edges[-1])]
+
+
+@pytest.mark.parametrize("d", [12, 18, 36])
+def test_theorem2_catches_a_non_orthogonal_perp_set_member_off_square_free_d(monkeypatch, d):
+    monkeypatch.setattr(ringline.symplectic, "perp_set", _perp_set_swapping_a_member)
+    entry = verify_theorem2(make_modulus(d))
+    assert entry.status == "fail"
+    assert entry.counterexample["claim"] == "perp-set member not orthogonal to its vector"
+    v = tuple(entry.counterexample["vector"])
+    (w,) = entry.counterexample["members"]
+    assert ringline.symplectic.form(v, tuple(w), make_modulus(d)) != 0
 
 
 @pytest.mark.parametrize("d", [12, 18])
