@@ -8,12 +8,16 @@ check that does not apply is reported as skipped, never silently passed.
 ``theorem1`` and ``witness_construction`` read perp-sets as bit rows from
 ``symplectic.perp_rows``, which gets all d^4 pairs from 2d^2 values of the form
 by bilinearity; ``theorem2`` keeps ``symplectic.perp_set``, checked on every
-vector, and also checks ``projline.neighbour_graph``.
+vector, and also checks ``projline.neighbour_graph`` against the point pairs
+that ``projline.points_containing`` lists together under a non-zero vector.
+Both theorems make d^2 point queries, so past the first d of them
+``points_containing`` reads its incidence index instead of scanning the line.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import combinations
 from typing import Any, Callable, Iterable
 
 from . import pauli, projline, symplectic
@@ -164,10 +168,16 @@ def verify_theorem2(m: Modulus) -> CheckResult:
     (``projline.points_containing``, ``perp_as_point_union``) lies inside the
     perp-set, equals it at square-free d, and is a proper subset for some
     vector at any other d; the perp-set members outside it must be orthogonal.
-    Neighbour graph edges join exactly the points sharing a non-zero vector."""
+    The neighbour graph's vertices are the enumerated points, and its edges
+    join exactly the points sharing a non-zero vector: the pairs co-listed by
+    ``points_containing`` under some non-zero vector, whose points must all be
+    enumerated ones."""
     d = m.d
 
     def body() -> Counterexample | None:
+        pts = projline.enumerate_points(m)
+        index_of = {id(p): i for i, p in enumerate(pts)}
+        sharing: set[tuple[int, int]] = set()
         proper_union_seen = False
         for v in _vectors(d):
             containing = projline.points_containing(v, m)
@@ -179,6 +189,15 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "expected": expected_points,
                     "actual": len(containing),
                 }
+            listed = [index_of.get(id(p)) for p in containing]
+            if None in listed:
+                return {
+                    "claim": "point through vector is not an enumerated point",
+                    "vector": list(v),
+                    "point": containing[listed.index(None)].to_json_dict(),
+                }
+            if v != (0, 0):
+                sharing.update(combinations(sorted(listed), 2))
             union = projline.perp_as_point_union(v, m)
             perp = symplectic.perp_set(v, m).members
             if not union <= perp or (m.square_free and union != perp):
@@ -214,13 +233,17 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "expected": sorted(vanishing),
                     "actual": sorted(index_set),
                 }
-        pts, edges = projline.enumerate_points(m), projline.neighbour_graph(m).edges
-        sharing = tuple((i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
-                        if len(pts[i].members & pts[j].members) > 1)
-        if edges != sharing:
+        graph = projline.neighbour_graph(m)
+        if list(graph.vertices) != pts:
+            return {
+                "claim": "neighbour graph vertices differ from the enumerated points",
+                "vertices": [list(p.generator) for p in graph.vertices],
+                "points": [list(p.generator) for p in pts],
+            }
+        if graph.edges != tuple(sorted(sharing)):
             return {
                 "claim": "neighbour graph differs from the point pairs sharing a non-zero vector",
-                "differing_edges": [list(e) for e in sorted(set(edges) ^ set(sharing))],
+                "differing_edges": [list(e) for e in sorted(set(graph.edges) ^ sharing)],
             }
         if not (m.square_free or proper_union_seen):
             return {
@@ -307,7 +330,15 @@ def verify_group(m: Modulus) -> CheckResult:
     """Closure order d^3, then one pass over all class pairs: every four-fold
     product W W' W^-1 W'^-1 equals the closed-form commutator, and the same
     products give the brute-force centre, the commutator set (= centre) and,
-    square-free only, exhaustive commutant sizes against the formula."""
+    square-free only, exhaustive commutant sizes against the formula.
+
+    Once every product equals ``pauli.commutator`` and the brute-force centre
+    equals ``pauli.centre``, the commutator set is the set of closed-form
+    commutators, w^form(v, v') I, which meets every scalar (form((0, a),
+    (1, 0)) = a) and nothing else.  So "commutator set differs from the
+    centre" is implied by the earlier claims unless ``pauli.commutator`` and
+    the products are wrong in the same way; it stays as the paper's
+    "commutator subgroup = centre" fact."""
     d = m.d
     if d > pauli.CLOSURE_LIMIT:
         raise ValueError(

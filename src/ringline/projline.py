@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
+from itertools import accumulate
 from typing import Any
 
 from . import symplectic
@@ -85,6 +87,9 @@ def _points_cached(m: Modulus) -> tuple[Point, ...]:
     # lex-smallest one sits in row g = gcd(b, d) (row 0 when g = d).  In row g,
     # (g, c) and (g, c') share a point iff c' = u*c for a unit u = 1 mod d/g:
     # visit those rows only, and mark each orbit's row-g members as it is found.
+    # A cold build drops every incidence index, so none keeps the points of an
+    # evicted modulus alive.
+    _incidence.cache_clear()
     d = m.d
     points: list[Point] = []
     for g in [0] + [g for g in range(1, d) if d % g == 0]:
@@ -138,10 +143,56 @@ def perp_size_formula(v: Vector2, m: Modulus) -> int:
     return m.d * math.gcd(v[0], v[1], m.d)
 
 
+def _build_incidence(pts: tuple[Point, ...], d: int) -> tuple[array, array]:
+    # CSR incidence: the indices of the points through (b, c) are
+    # indices[offsets[b*d + c]:offsets[b*d + c + 1]], ascending, since the
+    # points are visited in enumeration order.
+    counts = [0] * (d * d + 1)
+    for p in pts:
+        for b, c in p.members:
+            counts[b * d + c + 1] += 1
+    offsets = array("I", accumulate(counts))
+    fill = offsets[:-1]
+    indices = array("H" if len(pts) < 1 << 16 else "I")
+    indices.frombytes(bytes(indices.itemsize * offsets[-1]))
+    for i, p in enumerate(pts):
+        for k in [b * d + c for b, c in p.members]:
+            indices[fill[k]] = i
+            fill[k] += 1
+    return offsets, indices
+
+
+@lru_cache(maxsize=8)
+def _incidence(m: Modulus) -> list[Any]:
+    # [points the state belongs to, scans so far, (offsets, indices) or None]
+    return [None, 0, None]
+
+
 def points_containing(v: Vector2, m: Modulus) -> list[Point]:
-    """All points whose member set contains v, in enumeration order; any d."""
-    v = (v[0] % m.d, v[1] % m.d)
-    return [p for p in _points_cached(m) if v in p.members]
+    """All points whose member set contains v, in enumeration order; any d.
+
+    The first d queries of a modulus scan every point.  The next one builds an
+    incidence index from vector to points (about the cost of d scans), and it
+    and all later queries read v's points from it.  The index belongs to the
+    exact tuple of points it was built from, so it starts over when the point
+    cache is cleared.  It is built from the enumerated members alone, never
+    through ``point_through``, which ``verify_theorem1`` compares it with.
+    """
+    d = m.d
+    b, c = v = (v[0] % d, v[1] % d)
+    pts = _points_cached(m)
+    state = _incidence(m)
+    if state[0] is not pts:
+        state[:] = [pts, 0, None]
+    index = state[2]
+    if index is None:
+        if state[1] < d:
+            state[1] += 1
+            return [p for p in pts if v in p.members]
+        index = state[2] = _build_incidence(pts, d)
+    offsets, indices = index
+    k = b * d + c
+    return [pts[i] for i in indices[offsets[k]:offsets[k + 1]]]
 
 
 def perp_as_point_union(v: Vector2, m: Modulus) -> frozenset[Vector2]:

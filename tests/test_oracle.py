@@ -1,4 +1,6 @@
 import math
+from array import array
+from itertools import accumulate
 
 import pytest
 
@@ -468,6 +470,22 @@ def _neighbour_graph_without_last_edge(m):
     return ringline.projline.NeighbourGraph(g.d, g.vertices, g.edges[:-1])
 
 
+def _neighbour_graph_reversing_vertices(m):
+    g = _neighbour_graph(m)
+    return ringline.projline.NeighbourGraph(g.d, g.vertices[::-1], g.edges)
+
+
+_build_incidence = ringline.projline._build_incidence
+
+
+def _incidence_dropping_last_entries(pts, d):
+    # every vector's slice of the index loses its last point
+    offsets, indices = _build_incidence(pts, d)
+    slices = [indices[lo:max(lo, hi - 1)] for lo, hi in zip(offsets, offsets[1:])]
+    kept = array(indices.typecode, [i for piece in slices for i in piece])
+    return array("I", accumulate((len(piece) for piece in slices), initial=0)), kept
+
+
 _construct_witness = ringline.oracle.construct_witness
 
 
@@ -550,6 +568,12 @@ PLANTED_FAULTS = {
     "neighbour-graph-drops-an-edge": (
         ringline.projline, "neighbour_graph", _neighbour_graph_without_last_edge, "theorem2",
     ),
+    "neighbour-graph-reverses-vertices": (
+        ringline.projline, "neighbour_graph", _neighbour_graph_reversing_vertices, "theorem2",
+    ),
+    "incidence-index-drops-last-entries": (
+        ringline.projline, "_build_incidence", _incidence_dropping_last_entries, "theorem2",
+    ),
     "perp-set-swaps-a-member": (
         ringline.symplectic, "perp_set", _perp_set_swapping_a_member, "theorem2",
     ),
@@ -582,6 +606,8 @@ PLANTED_CLAIMS = {
     "is-distant-negated": "neighbour graph differs from the point pairs sharing a non-zero vector",
     "neighbour-graph-drops-an-edge":
         "neighbour graph differs from the point pairs sharing a non-zero vector",
+    "neighbour-graph-reverses-vertices": "neighbour graph vertices differ from the enumerated points",
+    "incidence-index-drops-last-entries": "point count through vector differs from formula",
     "perp-set-swaps-a-member": "union of containing points differs from perp-set",
     "perp-size-formula-plus-one": "perp-set size differs from formula",
     "witness-u-plus-one": "scalar u does not map generator to v",
@@ -594,10 +620,25 @@ PLANTED_CLAIMS = {
 }
 
 
+@pytest.fixture
+def plant(monkeypatch):
+    """Install a PLANTED_FAULTS row by name and return its check.  The point
+    cache is cleared around it, so a planted index builder builds a new index
+    and leaves none behind."""
+    ringline.projline._points_cached.cache_clear()
+
+    def install(fault):
+        module, attribute, replacement, check = PLANTED_FAULTS[fault]
+        monkeypatch.setattr(module, attribute, replacement)
+        return check
+
+    yield install
+    ringline.projline._points_cached.cache_clear()
+
+
 @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
-def test_planted_fault_fails_its_check(monkeypatch, capsys, fault):
-    module, attribute, replacement, check = PLANTED_FAULTS[fault]
-    monkeypatch.setattr(module, attribute, replacement)
+def test_planted_fault_fails_its_check(plant, capsys, fault):
+    check = plant(fault)
     entry = verify_all(ringline.cli.make_modulus(6), checks=[check]).checks[0]
     assert entry.status == "fail"
     assert "claim" in entry.counterexample
@@ -605,9 +646,8 @@ def test_planted_fault_fails_its_check(monkeypatch, capsys, fault):
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED_CLAIMS))
-def test_planted_fault_reports_its_claim_at_d6(monkeypatch, fault):
-    module, attribute, replacement, check = PLANTED_FAULTS[fault]
-    monkeypatch.setattr(module, attribute, replacement)
+def test_planted_fault_reports_its_claim_at_d6(plant, fault):
+    check = plant(fault)
     (entry,) = verify_all(make_modulus(6), checks=[check]).checks
     assert entry.status == "fail"
     assert entry.counterexample["claim"] == PLANTED_CLAIMS[fault]
@@ -615,16 +655,14 @@ def test_planted_fault_reports_its_claim_at_d6(monkeypatch, fault):
 
 @pytest.mark.parametrize("d", [12, 30])
 @pytest.mark.parametrize("fault", ["is-distant-negated", "neighbour-graph-drops-an-edge"])
-def test_theorem2_catches_neighbour_faults_beyond_d6(monkeypatch, capsys, fault, d):
-    module, attribute, replacement, _ = PLANTED_FAULTS[fault]
-    monkeypatch.setattr(module, attribute, replacement)
+def test_theorem2_catches_neighbour_faults_beyond_d6(plant, capsys, fault, d):
+    plant(fault)
     assert ringline.cli.main(["verify", str(d), "--checks", "theorem2"]) == 1
     assert PLANTED_CLAIMS[fault] in capsys.readouterr().out
 
 
-def test_theorem2_names_the_edges_a_dropped_edge_leaves_out(monkeypatch):
-    module, attribute, replacement, _ = PLANTED_FAULTS["neighbour-graph-drops-an-edge"]
-    monkeypatch.setattr(module, attribute, replacement)
+def test_theorem2_names_the_edges_a_dropped_edge_leaves_out(plant):
+    plant("neighbour-graph-drops-an-edge")
     m = make_modulus(6)
     entry = verify_theorem2(m)
     assert entry.counterexample["differing_edges"] == [list(_neighbour_graph(m).edges[-1])]
@@ -645,9 +683,8 @@ def test_theorem2_catches_a_non_orthogonal_perp_set_member_off_square_free_d(mon
 @pytest.mark.parametrize(
     "fault", ["points-containing-drops-last-match", "line-size-formula-plus-one"]
 )
-def test_theorem1_catches_point_faults_off_square_free_d(monkeypatch, capsys, fault, d):
-    module, attribute, replacement, _ = PLANTED_FAULTS[fault]
-    monkeypatch.setattr(module, attribute, replacement)
+def test_theorem1_catches_point_faults_off_square_free_d(plant, capsys, fault, d):
+    plant(fault)
     assert ringline.cli.main(["verify", str(d)]) == 1
     assert "FAIL theorem1" in capsys.readouterr().out
 
@@ -655,17 +692,15 @@ def test_theorem1_catches_point_faults_off_square_free_d(monkeypatch, capsys, fa
 @pytest.mark.parametrize(
     "fault", sorted(f for f, row in PLANTED_FAULTS.items() if row[3] == "theorem2")
 )
-def test_theorem2_faults_fail_verify_off_square_free_d(monkeypatch, capsys, fault):
-    module, attribute, replacement, _ = PLANTED_FAULTS[fault]
-    monkeypatch.setattr(module, attribute, replacement)
+def test_theorem2_faults_fail_verify_off_square_free_d(plant, capsys, fault):
+    plant(fault)
     assert ringline.cli.main(["verify", "12"]) == 1
     assert "\nFAIL theorem2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("d", [6, 12])
-def test_group_catches_a_matmul_that_drops_the_left_phase(monkeypatch, d):
-    module, attribute, replacement, _ = PLANTED_FAULTS["matmul-drops-left-phase"]
-    monkeypatch.setattr(module, attribute, replacement)
+def test_group_catches_a_matmul_that_drops_the_left_phase(plant, d):
+    plant("matmul-drops-left-phase")
     entry = verify_group(make_modulus(d))
     assert entry.status == "fail"
     assert entry.counterexample["claim"] == "matrix model has no normal-form bijection"
@@ -687,3 +722,27 @@ def test_theorem1_checks_a_point_outside_the_enumeration(monkeypatch, d):
         "point through admissible vector differs from point_through"
     )
     assert entry.counterexample["vector"] == [0, 5]  # (0, 1) is canonical
+
+
+def test_theorem2_names_a_point_outside_the_enumeration(monkeypatch):
+    monkeypatch.setattr(ringline.projline, "points_containing", _points_keeping_v)
+    entry = verify_theorem2(make_modulus(6))
+    assert entry.status == "fail"
+    assert entry.counterexample == {
+        "claim": "point through vector is not an enumerated point",
+        "vector": [0, 1],
+        "point": _point_through_keeping_v((0, 1), make_modulus(6)).to_json_dict(),
+    }
+
+
+@pytest.mark.parametrize("d", [6, 12])
+def test_theorem2_names_reversed_graph_vertices(plant, d):
+    plant("neighbour-graph-reverses-vertices")
+    m = make_modulus(d)
+    entry = verify_theorem2(m)
+    generators = [list(p.generator) for p in ringline.projline.enumerate_points(m)]
+    assert entry.counterexample == {
+        "claim": "neighbour graph vertices differ from the enumerated points",
+        "vertices": generators[::-1],
+        "points": generators,
+    }

@@ -265,6 +265,53 @@ def test_points_containing_more_examples():
     assert len(points_containing((0, 0), m12)) == 24
 
 
+def _built_index(m):
+    # scan queries until the incidence index of m exists, and return it
+    projline._points_cached.cache_clear()
+    for n in range(1, m.d + 1):
+        points_containing((0, 0), m)
+        assert projline._incidence(m)[1:] == [n, None]
+    points_containing((0, 0), m)
+    return projline._incidence(m)[2]
+
+
+@pytest.mark.parametrize("d", [6, 12, 36, 105])
+def test_incidence_index_matches_the_scan_on_every_vector(d):
+    m = make_modulus(d)
+    assert _built_index(m) is not None
+    pts = enumerate_points(m)
+    for v in [*all_vectors(d), (-1, d + 2), (3 * d, -d)]:
+        scanned = [p for p in pts if (v[0] % d, v[1] % d) in p.members]
+        listed = points_containing(v, m)
+        assert len(listed) == len(scanned), v
+        assert all(p is q for p, q in zip(listed, scanned)), v
+
+
+def test_incidence_index_resets_with_the_point_cache():
+    m = make_modulus(6)
+    assert _built_index(m) is not None
+    projline._points_cached.cache_clear()
+    points_containing((2, 0), m)
+    state = projline._incidence(m)
+    assert state[0] is projline._points_cached(m)
+    assert state[1:] == [1, None]
+
+
+def test_a_cold_point_build_drops_every_index():
+    assert _built_index(make_modulus(6)) is not None
+    enumerate_points(make_modulus(7))
+    assert projline._incidence.cache_info().currsize == 0
+
+
+def test_one_off_perp_request_leaves_the_index_unbuilt(capsys):
+    from ringline import cli
+
+    projline._points_cached.cache_clear()
+    assert cli.main(["perp", "210", "11", "13"]) == 0
+    capsys.readouterr()
+    assert projline._incidence(make_modulus(210))[1:] == [2, None]
+
+
 def test_index_set_K_examples():
     m6 = make_modulus(6)
     assert index_set_K((2, 0), m6) == {1}
