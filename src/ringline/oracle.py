@@ -8,10 +8,13 @@ check that does not apply is reported as skipped, never silently passed.
 ``theorem1`` and ``witness_construction`` read perp-sets as bit rows from
 ``symplectic.perp_rows``, which gets all d^4 pairs from 2d^2 values of the form
 by bilinearity; ``theorem2`` keeps ``symplectic.perp_set``, checked on every
-vector, and also checks ``projline.neighbour_graph`` against the point pairs
-that ``projline.points_containing`` lists together under a non-zero vector.
-Both theorems make d^2 point queries, so past the first d of them
+vector and compared with that vector's rows, and also checks
+``projline.neighbour_graph`` against the point pairs that
+``projline.points_containing`` lists together under a non-zero vector.  Both
+theorems make d^2 point queries, so past the first d of them
 ``points_containing`` reads its incidence index instead of scanning the line.
+``group`` checks ``pauli.commutes`` on every class pair against the four-fold
+product it computes there.
 """
 
 from __future__ import annotations
@@ -167,7 +170,8 @@ def verify_theorem2(m: Modulus) -> CheckResult:
     primes dividing both coordinates.  The union of the containing points
     (``projline.points_containing``, ``perp_as_point_union``) lies inside the
     perp-set, equals it at square-free d, and is a proper subset for some
-    vector at any other d; the perp-set members outside it must be orthogonal.
+    vector at any other d; the perp-set members outside it must be orthogonal,
+    and the perp-set must equal the vector's rows from ``symplectic.perp_rows``.
     The neighbour graph's vertices are the enumerated points, and its edges
     join exactly the points sharing a non-zero vector: the pairs co-listed by
     ``points_containing`` under some non-zero vector, whose points must all be
@@ -179,7 +183,7 @@ def verify_theorem2(m: Modulus) -> CheckResult:
         index_of = {id(p): i for i, p in enumerate(pts)}
         sharing: set[tuple[int, int]] = set()
         proper_union_seen = False
-        for v in _vectors(d):
+        for v, rows in symplectic.perp_rows(m):
             containing = projline.points_containing(v, m)
             expected_points = projline.point_count_formula(v, m)
             if len(containing) != expected_points:
@@ -214,6 +218,14 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "claim": "perp-set member not orthogonal to its vector",
                     "vector": list(v),
                     "members": [list(w) for w in sorted(perp - union) if symplectic.form(v, w, m)],
+                }
+            if _rows(perp, d) != rows:
+                from_rows = set(_members(rows))
+                return {
+                    "claim": "perp_rows differs from perp_set",
+                    "vector": list(v),
+                    "rows_minus_perp": [list(w) for w in sorted(from_rows - perp)],
+                    "perp_minus_rows": [list(w) for w in sorted(perp - from_rows)],
                 }
             proper_union_seen = proper_union_seen or union < perp
             expected_size = projline.perp_size_formula(v, m)
@@ -328,8 +340,8 @@ def verify_witness_construction(m: Modulus) -> CheckResult:
 
 def verify_group(m: Modulus) -> CheckResult:
     """Closure order d^3, then one pass over all class pairs: every four-fold
-    product W W' W^-1 W'^-1 equals the closed-form commutator, and the same
-    products give the brute-force centre, the commutator set (= centre) and,
+    product W W' W^-1 W'^-1 equals the closed-form commutator and is the
+    identity exactly when ``pauli.commutes`` holds, and the same products give the brute-force centre, the commutator set (= centre) and,
     square-free only, exhaustive commutant sizes against the formula.
 
     Once every product equals ``pauli.commutator`` and the brute-force centre
@@ -379,8 +391,16 @@ def verify_group(m: Modulus) -> CheckResult:
                         "product": list(prod),
                         "closed_form": list(closed),
                     }
+                trivial = prod == pauli.IDENTITY
+                if pauli.commutes(w, w2, m) != trivial:
+                    return {
+                        "claim": "commutes differs from the four-fold product",
+                        "w1": list(w),
+                        "w2": list(w2),
+                        "product": list(prod),
+                    }
                 comms.add(prod)
-                n += prod == pauli.IDENTITY
+                n += trivial
             commuting.append(n)
 
         central = [w for (w, _), n in zip(classes, commuting) if n == d * d]

@@ -81,15 +81,20 @@ def point_through(v: Vector2, m: Modulus) -> Point:
     return Point(gen, cyclic_submodule(v, m))
 
 
+class _Points(tuple):
+    # The cached points of one modulus, carrying the incidence state of
+    # ``points_containing``: an index lives and dies with its points.  ``index``
+    # shadows ``tuple.index``, so no public value is one of these.
+    scans = 0
+    index: tuple[array, array] | None = None
+
+
 @lru_cache(maxsize=8)
-def _points_cached(m: Modulus) -> tuple[Point, ...]:
+def _points_cached(m: Modulus) -> _Points:
     # The admissible members of Z_d*(b, c) are its unit multiples, so the
     # lex-smallest one sits in row g = gcd(b, d) (row 0 when g = d).  In row g,
     # (g, c) and (g, c') share a point iff c' = u*c for a unit u = 1 mod d/g:
     # visit those rows only, and mark each orbit's row-g members as it is found.
-    # A cold build drops every incidence index, so none keeps the points of an
-    # evicted modulus alive.
-    _incidence.cache_clear()
     d = m.d
     points: list[Point] = []
     for g in [0] + [g for g in range(1, d) if d % g == 0]:
@@ -102,7 +107,7 @@ def _points_cached(m: Modulus) -> tuple[Point, ...]:
             for u in units:
                 seen[u * c % d] = 1
             points.append(Point((g, c), cyclic_submodule((g, c), m)))
-    return tuple(points)
+    return _Points(points)
 
 
 def enumerate_points(m: Modulus) -> list[Point]:
@@ -162,34 +167,26 @@ def _build_incidence(pts: tuple[Point, ...], d: int) -> tuple[array, array]:
     return offsets, indices
 
 
-@lru_cache(maxsize=8)
-def _incidence(m: Modulus) -> list[Any]:
-    # [points the state belongs to, scans so far, (offsets, indices) or None]
-    return [None, 0, None]
-
-
 def points_containing(v: Vector2, m: Modulus) -> list[Point]:
     """All points whose member set contains v, in enumeration order; any d.
 
     The first d queries of a modulus scan every point.  The next one builds an
     incidence index from vector to points (about the cost of d scans), and it
-    and all later queries read v's points from it.  The index belongs to the
-    exact tuple of points it was built from, so it starts over when the point
-    cache is cleared.  It is built from the enumerated members alone, never
-    through ``point_through``, which ``verify_theorem1`` compares it with.
+    and all later queries read v's points from it.  The index lives on the
+    cached tuple of points it was built from, so it is dropped with that tuple
+    when the point cache evicts it.  It is built from the enumerated members
+    alone, never through ``point_through``, which ``verify_theorem1`` compares
+    it with.
     """
     d = m.d
     b, c = v = (v[0] % d, v[1] % d)
     pts = _points_cached(m)
-    state = _incidence(m)
-    if state[0] is not pts:
-        state[:] = [pts, 0, None]
-    index = state[2]
+    index = pts.index
     if index is None:
-        if state[1] < d:
-            state[1] += 1
+        if pts.scans < d:
+            pts.scans += 1
             return [p for p in pts if v in p.members]
-        index = state[2] = _build_incidence(pts, d)
+        index = pts.index = _build_incidence(pts, d)
     offsets, indices = index
     k = b * d + c
     return [pts[i] for i in indices[offsets[k]:offsets[k + 1]]]
@@ -245,4 +242,4 @@ def neighbour_graph(m: Modulus) -> NeighbourGraph:
         for j in range(i + 1, len(pts))
         if not is_distant(pts[i], pts[j], m)
     )
-    return NeighbourGraph(m.d, pts, edges)
+    return NeighbourGraph(m.d, tuple(pts), edges)

@@ -396,7 +396,7 @@ def test_failed_entry_always_carries_a_witness(monkeypatch):
 def test_theorem1_catches_a_dropped_or_duplicated_point(monkeypatch, d, fault):
     # fault: the enumeration loses its last point, or lists it twice
     points = ringline.projline._points_cached(make_modulus(d))
-    planted = points[:-1] if fault == "drop" else points + points[-1:]
+    planted = type(points)(points[:-1] if fault == "drop" else points + points[-1:])
     monkeypatch.setattr(ringline.projline, "_points_cached", lambda m: planted)
     entry = verify_theorem1(make_modulus(d))
     assert entry.status == "fail"
@@ -427,6 +427,12 @@ def _perp_rows_without_zero(m):
     # every perp-set loses the zero vector, bit 0 of row 0
     for v, rows in _perp_rows(m):
         yield v, [rows[0] & ~1, *rows[1:]]
+
+
+def _perp_rows_filling_non_admissible(m):
+    # every non-admissible vector gets the whole of Z_d^2 as its perp-set
+    for v, rows in _perp_rows(m):
+        yield v, rows if ringline.projline.is_admissible(v, m) else [(1 << m.d) - 1] * m.d
 
 
 _line_size_formula = ringline.projline.line_size_formula
@@ -553,6 +559,9 @@ PLANTED_FAULTS = {
     "perp-rows-drop-a-bit": (
         ringline.symplectic, "perp_rows", _perp_rows_without_zero, "theorem1",
     ),
+    "perp-rows-fill-non-admissible": (
+        ringline.symplectic, "perp_rows", _perp_rows_filling_non_admissible, "theorem2",
+    ),
     "line-size-formula-plus-one": (
         ringline.projline, "line_size_formula", lambda m: _line_size_formula(m) + 1, "theorem1",
     ),
@@ -596,6 +605,9 @@ PLANTED_FAULTS = {
     "commuting-count-plus-one": (
         ringline.pauli, "commuting_count", lambda w, m: _commuting_count(w, m) + 1, "group",
     ),
+    "commutes-always-true": (
+        ringline.pauli, "commutes", lambda w, w2, m: True, "group",
+    ),
     "points-containing-drops-a-member": (
         ringline.projline, "points_containing", _points_with_a_member_missing, "theorem1",
     ),
@@ -615,6 +627,8 @@ PLANTED_CLAIMS = {
     "closure-order-plus-one": "closure of {X, Z} has wrong order",
     "centre-without-identity": "brute-force centre differs from the scalars",
     "commuting-count-plus-one": "exhaustive commutant size differs from formula",
+    "commutes-always-true": "commutes differs from the four-fold product",
+    "perp-rows-fill-non-admissible": "perp_rows differs from perp_set",
     "points-containing-drops-a-member":
         "point through admissible vector differs from point_through",
 }
@@ -696,6 +710,27 @@ def test_theorem2_faults_fail_verify_off_square_free_d(plant, capsys, fault):
     plant(fault)
     assert ringline.cli.main(["verify", "12"]) == 1
     assert "\nFAIL theorem2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("d", [12, 30])
+def test_group_catches_a_commutes_that_always_holds_beyond_d6(plant, capsys, d):
+    plant("commutes-always-true")
+    assert ringline.cli.main(["verify", str(d), "--checks", "group"]) == 1
+    assert PLANTED_CLAIMS["commutes-always-true"] in capsys.readouterr().out
+
+
+def test_theorem2_names_the_vectors_perp_rows_adds(plant):
+    plant("perp-rows-fill-non-admissible")
+    m = make_modulus(12)
+    entry = verify_theorem2(m)
+    v = tuple(entry.counterexample["vector"])
+    perp = ringline.symplectic.perp_set(v, m).members
+    assert entry.counterexample["claim"] == PLANTED_CLAIMS["perp-rows-fill-non-admissible"]
+    assert not ringline.projline.is_admissible(v, m)
+    assert entry.counterexample["rows_minus_perp"] == [
+        [b, c] for b in range(12) for c in range(12) if (b, c) not in perp
+    ]
+    assert entry.counterexample["perp_minus_rows"] == []
 
 
 @pytest.mark.parametrize("d", [6, 12])

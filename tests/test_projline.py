@@ -1,6 +1,8 @@
+import gc
 import json
 import pathlib
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -270,9 +272,10 @@ def _built_index(m):
     projline._points_cached.cache_clear()
     for n in range(1, m.d + 1):
         points_containing((0, 0), m)
-        assert projline._incidence(m)[1:] == [n, None]
+        pts = projline._points_cached(m)
+        assert (pts.scans, pts.index) == (n, None)
     points_containing((0, 0), m)
-    return projline._incidence(m)[2]
+    return projline._points_cached(m).index
 
 
 @pytest.mark.parametrize("d", [6, 12, 36, 105])
@@ -292,15 +295,24 @@ def test_incidence_index_resets_with_the_point_cache():
     assert _built_index(m) is not None
     projline._points_cached.cache_clear()
     points_containing((2, 0), m)
-    state = projline._incidence(m)
-    assert state[0] is projline._points_cached(m)
-    assert state[1:] == [1, None]
+    pts = projline._points_cached(m)
+    assert (pts.scans, pts.index) == (1, None)
 
 
-def test_a_cold_point_build_drops_every_index():
-    assert _built_index(make_modulus(6)) is not None
+def test_an_index_survives_a_cold_build_of_another_modulus():
+    m = make_modulus(6)
+    index = _built_index(m)
     enumerate_points(make_modulus(7))
-    assert projline._incidence.cache_info().currsize == 0
+    assert projline._points_cached(m).index is index
+
+
+def test_eviction_frees_the_index():
+    m = make_modulus(6)
+    offsets = weakref.ref(_built_index(m)[0])
+    for d in range(7, 15):
+        enumerate_points(make_modulus(d))
+    gc.collect()
+    assert offsets() is None
 
 
 def test_one_off_perp_request_leaves_the_index_unbuilt(capsys):
@@ -309,7 +321,8 @@ def test_one_off_perp_request_leaves_the_index_unbuilt(capsys):
     projline._points_cached.cache_clear()
     assert cli.main(["perp", "210", "11", "13"]) == 0
     capsys.readouterr()
-    assert projline._incidence(make_modulus(210))[1:] == [2, None]
+    pts = projline._points_cached(make_modulus(210))
+    assert (pts.scans, pts.index) == (2, None)
 
 
 def test_index_set_K_examples():
@@ -441,6 +454,7 @@ def test_neighbour_graph_over_fields_is_edgeless():
 
 def test_neighbour_graph_d6():
     g = neighbour_graph(make_modulus(6))
+    assert type(g.vertices) is tuple  # a copy or pickle carries no incidence index
     assert len(g.vertices) == 12
     assert len(g.edges) == 30
     assert Counter(i for e in g.edges for i in e) == dict.fromkeys(range(12), 5)
