@@ -7,8 +7,9 @@ check that does not apply is reported as skipped, never silently passed.
 
 ``theorem1`` and ``witness_construction`` read perp-sets as bit rows from
 ``symplectic.perp_rows``, which gets all d^4 pairs from 2d^2 values of the form
-by bilinearity; ``theorem2`` keeps ``symplectic.perp_set``, checked on every
-vector and compared with that vector's rows, and also checks
+by bilinearity.  ``theorem2`` compares two independent builds of every
+perp-set: ``symplectic.perp_set``, which solves b*c' = c*b' (mod d) row by
+row, and the rows of ``perp_rows``, which go through ``form``.  It also checks
 ``projline.neighbour_graph`` against the point pairs that
 ``projline.points_containing`` lists together under a non-zero vector.  Both
 theorems make d^2 point queries, so past the first d of them

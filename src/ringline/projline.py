@@ -95,7 +95,11 @@ def _points_cached(m: Modulus) -> _Points:
     # lex-smallest one sits in row g = gcd(b, d) (row 0 when g = d).  In row g,
     # (g, c) and (g, c') share a point iff c' = u*c for a unit u = 1 mod d/g:
     # visit those rows only, and mark each orbit's row-g members as it is found.
+    # Members are drawn from one table of Z_d^2, so a vector on several points
+    # is one tuple, and each set is copied from a set, which sizes its hash
+    # table for its final length.
     d = m.d
+    vectors = [(b, c) for b in range(d) for c in range(d)]
     points: list[Point] = []
     for g in [0] + [g for g in range(1, d) if d % g == 0]:
         step = d // g if g else 1
@@ -106,7 +110,8 @@ def _points_cached(m: Modulus) -> _Points:
                 continue
             for u in units:
                 seen[u * c % d] = 1
-            points.append(Point((g, c), cyclic_submodule((g, c), m)))
+            members = frozenset({vectors[(u * g % d) * d + u * c % d] for u in range(d)})
+            points.append(Point((g, c), members))
     return _Points(points)
 
 

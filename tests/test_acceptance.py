@@ -225,3 +225,15 @@ def test_criterion_12_theorem2_at_non_square_free_d36():
     assert entry.status == "pass", entry.counterexample
     assert elapsed < 2.0, f"took {elapsed:.2f} s"
     print(f"PASS criterion 12: theorem2 over all 1296 vectors of Z_36^2, {elapsed:.2f} s")
+
+
+def test_criterion_13_theorem2_at_d105():
+    # cold, like criterion 11: every perp-set is solved from its congruence
+    # b*c' = c*b' (mod d) rather than scanned
+    ringline.projline._points_cached.cache_clear()
+    start = time.perf_counter()
+    entry = verify_theorem2(make_modulus(105))
+    elapsed = time.perf_counter() - start
+    assert entry.status == "pass", entry.counterexample
+    assert elapsed < 4.0, f"took {elapsed:.2f} s"
+    print(f"PASS criterion 13: theorem2 over all 11025 vectors of Z_105^2, {elapsed:.2f} s")

@@ -220,13 +220,15 @@ def test_witness_recipe_matches_reference_on_unreduced_inputs():
 
 
 def _reference_theorem1(m):
-    # the check as one perp_set and one point scan per vector, compared as sets
+    # the check as one perp-set through form and one point scan per vector,
+    # compared as sets
     d = m.d
 
     def body():
         pts = ringline.projline.enumerate_points(m)
-        for v in [(b, c) for b in range(d) for c in range(d)]:
-            perp = ringline.symplectic.perp_set(v, m).members
+        vectors = [(b, c) for b in range(d) for c in range(d)]
+        for v in vectors:
+            perp = {w for w in vectors if ringline.symplectic.form(v, w, m) == 0}
             containing = [p for p in pts if v in p.members]
             for p in containing:
                 if not p.members <= perp:
@@ -467,6 +469,16 @@ def _perp_set_swapping_a_member(v, m):
     return ringline.symplectic.PerpSet(ps.base, swapped)
 
 
+def _perp_set_dropping_a_coset(v, m):
+    # the solutions of the last solvable row b' are one coset of (d/g)Z_d; it
+    # goes missing whenever g = gcd(b, d) > 1
+    ps = _perp_set(v, m)
+    if math.gcd(v[0], m.d) == 1:
+        return ps
+    last = max(b2 for b2, _ in ps.members)
+    return ringline.symplectic.PerpSet(ps.base, frozenset(w for w in ps.members if w[0] != last))
+
+
 _is_distant = ringline.projline.is_distant
 _neighbour_graph = ringline.projline.neighbour_graph
 
@@ -586,6 +598,9 @@ PLANTED_FAULTS = {
     "perp-set-swaps-a-member": (
         ringline.symplectic, "perp_set", _perp_set_swapping_a_member, "theorem2",
     ),
+    "perp-set-drops-a-coset": (
+        ringline.symplectic, "perp_set", _perp_set_dropping_a_coset, "theorem2",
+    ),
     "perp-size-formula-plus-one": (
         ringline.projline, "perp_size_formula", lambda v, m: _perp_size_formula(v, m) + 1,
         "theorem2",
@@ -621,6 +636,7 @@ PLANTED_CLAIMS = {
     "neighbour-graph-reverses-vertices": "neighbour graph vertices differ from the enumerated points",
     "incidence-index-drops-last-entries": "point count through vector differs from formula",
     "perp-set-swaps-a-member": "union of containing points differs from perp-set",
+    "perp-set-drops-a-coset": "union of containing points differs from perp-set",
     "perp-size-formula-plus-one": "perp-set size differs from formula",
     "witness-u-plus-one": "scalar u does not map generator to v",
     "witness-s-plus-one": "scalar s does not map generator to w",

@@ -239,6 +239,13 @@ def test_point_cache_is_bounded():
     assert [(p.generator, p.members) for p in rebuilt] == [(p.generator, p.members) for p in built]
 
 
+@pytest.mark.parametrize("d", [12, 30])
+def test_points_share_one_tuple_per_vector(d):
+    # a vector on several points is one object, so the points hold d^2 tuples
+    pts = enumerate_points(make_modulus(d))
+    assert len({id(w) for p in pts for w in p.members}) == d * d
+
+
 def test_point_count_formula_up_to_105():
     for d in range(2, 106):
         m = make_modulus(d)

@@ -116,6 +116,18 @@ def test_perp_set_is_a_submodule():
                     assert ((a * w[0]) % d, (a * w[1]) % d) in members
 
 
+@pytest.mark.parametrize("d", [2, 4, 8, 9, 12, 18, 30, 36])
+def test_perp_set_equals_the_form_scan_on_every_vector(d):
+    # every vector covers b = 0, b a unit and gcd(b, d) a prime power or not;
+    # an unreduced, negative copy of v must give the same set
+    m = make_modulus(d)
+    vectors = all_vectors(d)
+    for v in vectors:
+        scan = {w for w in vectors if form(v, w, m) == 0}
+        assert perp_set(v, m).members == scan, v
+        assert perp_set((v[0] - d, v[1] + 2 * d), m).members == scan, v
+
+
 def test_perp_set_reduces_its_base():
     ps = perp_set((8, -3), make_modulus(6))
     assert ps.base == (2, 3)
