@@ -7,13 +7,15 @@ check that does not apply is reported as skipped, never silently passed.
 
 ``theorem1`` and ``witness_construction`` read perp-sets as bit rows from
 ``symplectic.perp_rows``, which gets all d^4 pairs from 2d^2 values of the form
-by bilinearity.  ``theorem2`` compares two independent builds of every
+by bilinearity; ``theorem1`` reads only the admissible vectors, the rest are
+``theorem2``'s.  ``theorem2`` compares two independent builds of every
 perp-set: ``symplectic.perp_set``, which solves b*c' = c*b' (mod d) row by
 row, and the rows of ``perp_rows``, which go through ``form``.  It also checks
 ``projline.neighbour_graph`` against the point pairs that
-``projline.points_containing`` lists together under a non-zero vector.  Both
-theorems make d^2 point queries, so past the first d of them
-``points_containing`` reads its incidence index instead of scanning the line.
+``projline.points_containing`` lists together under a non-zero vector.
+``theorem2`` queries the points through every vector and ``theorem1`` through
+every admissible one, so past the first d queries ``points_containing`` reads
+its incidence index.
 ``group`` checks ``pauli.commutes`` on every class pair against the four-fold
 product it computes there.
 """
@@ -104,56 +106,43 @@ def _members(rows: list[int]) -> list[tuple[int, int]]:
 
 
 def verify_theorem1(m: Modulus) -> CheckResult:
-    """Every point through a vector lies inside its perp-set; for admissible
-    vectors the perp-set equals the point itself, and exactly one point
-    contains the vector, namely ``projline.point_through``'s; the point count
-    matches ``projline.line_size_formula``.  Any d.  The points through each
-    vector come from ``projline.points_containing``, and perp-sets and points
-    are compared as bit rows (``symplectic.perp_rows``)."""
+    """For every admissible vector the perp-set equals the point through it,
+    and exactly one point contains the vector, namely
+    ``projline.point_through``'s; the point count matches
+    ``projline.line_size_formula``.  Any d.  Perp-sets are bit rows from
+    ``symplectic.perp_rows``, compared with the rows of the point's members;
+    the points through each vector come from ``projline.points_containing``."""
     d = m.d
 
     def body() -> Counterexample | None:
-        pts = projline.enumerate_points(m)
-        # Keyed by identity, so a point that is not one of the enumerated
-        # objects is compared through its own members.
-        rows_of = {id(p): _rows(p.members, d) for p in pts}
         for v, perp in symplectic.perp_rows(m):
-            containing = [(p, rows_of.get(id(p)) or _rows(p.members, d))
-                          for p in projline.points_containing(v, m)]
-            for p, rows in containing:
-                stray = [row & ~perp_row for row, perp_row in zip(rows, perp)]
-                if any(stray):
-                    return {
-                        "claim": "point through vector not inside its perp-set",
-                        "vector": list(v),
-                        "point": p.to_json_dict(),
-                        "stray": [list(w) for w in _members(stray)],
-                    }
-            if projline.is_admissible(v, m):
-                through = projline.point_through(v, m)
-                orbit = _rows(through.members, d)
-                if perp != orbit:
-                    return {
-                        "claim": "perp-set of admissible vector differs from its orbit",
-                        "vector": list(v),
-                        "perp_size": sum(row.bit_count() for row in perp),
-                        "orbit_size": len(through.members),
-                    }
-                if len(containing) != 1:
-                    return {
-                        "claim": f"admissible vector lies in {len(containing)} points, "
-                                 "expected exactly 1",
-                        "vector": list(v),
-                        "generators": [list(p.generator) for p, _ in containing],
-                    }
-                ((p, rows),) = containing
-                if p != through or rows != orbit:
-                    return {
-                        "claim": "point through admissible vector differs from point_through",
-                        "vector": list(v),
-                        "point": p.to_json_dict(),
-                        "point_through": through.to_json_dict(),
-                    }
+            if not projline.is_admissible(v, m):
+                continue
+            through = projline.point_through(v, m)
+            if perp != _rows(through.members, d):
+                return {
+                    "claim": "perp-set of admissible vector differs from its orbit",
+                    "vector": list(v),
+                    "perp_size": sum(row.bit_count() for row in perp),
+                    "orbit_size": len(through.members),
+                }
+            containing = projline.points_containing(v, m)
+            if len(containing) != 1:
+                return {
+                    "claim": f"admissible vector lies in {len(containing)} points, "
+                             "expected exactly 1",
+                    "vector": list(v),
+                    "generators": [list(p.generator) for p in containing],
+                }
+            (p,) = containing
+            if p != through or p.members != through.members:
+                return {
+                    "claim": "point through admissible vector differs from point_through",
+                    "vector": list(v),
+                    "point": p.to_json_dict(),
+                    "point_through": through.to_json_dict(),
+                }
+        pts = projline.enumerate_points(m)
         if len(pts) != (size := projline.line_size_formula(m)):
             return {
                 "claim": "number of points differs from the line size formula",
@@ -171,8 +160,8 @@ def verify_theorem2(m: Modulus) -> CheckResult:
     primes dividing both coordinates.  The union of the containing points
     (``projline.points_containing``, ``perp_as_point_union``) lies inside the
     perp-set, equals it at square-free d, and is a proper subset for some
-    vector at any other d; the perp-set members outside it must be orthogonal,
-    and the perp-set must equal the vector's rows from ``symplectic.perp_rows``.
+    vector at any other d; and the perp-set must equal the vector's rows from
+    ``symplectic.perp_rows``, which hold exactly the vectors orthogonal to it.
     The neighbour graph's vertices are the enumerated points, and its edges
     join exactly the points sharing a non-zero vector: the pairs co-listed by
     ``points_containing`` under some non-zero vector, whose points must all be
@@ -213,12 +202,6 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "perp_size": len(perp),
                     "union_minus_perp": [list(w) for w in sorted(union - perp)],
                     "perp_minus_union": [list(w) for w in sorted(perp - union)],
-                }
-            if any(symplectic.form(v, w, m) for w in perp - union):
-                return {
-                    "claim": "perp-set member not orthogonal to its vector",
-                    "vector": list(v),
-                    "members": [list(w) for w in sorted(perp - union) if symplectic.form(v, w, m)],
                 }
             if _rows(perp, d) != rows:
                 from_rows = set(_members(rows))

@@ -220,47 +220,40 @@ def test_witness_recipe_matches_reference_on_unreduced_inputs():
 
 
 def _reference_theorem1(m):
-    # the check as one perp-set through form and one point scan per vector,
-    # compared as sets
+    # the check as one perp-set through form and one point scan per admissible
+    # vector, compared as sets
     d = m.d
 
     def body():
         pts = ringline.projline.enumerate_points(m)
         vectors = [(b, c) for b in range(d) for c in range(d)]
         for v in vectors:
+            if not ringline.projline.is_admissible(v, m):
+                continue
             perp = {w for w in vectors if ringline.symplectic.form(v, w, m) == 0}
+            orbit = ringline.projline.cyclic_submodule(v, m)
+            if perp != orbit:
+                return {
+                    "claim": "perp-set of admissible vector differs from its orbit",
+                    "vector": list(v),
+                    "perp_size": len(perp),
+                    "orbit_size": len(orbit),
+                }
             containing = [p for p in pts if v in p.members]
             for p in containing:
-                if not p.members <= perp:
+                if p.members != orbit:
                     return {
-                        "claim": "point through vector not inside its perp-set",
+                        "claim": "point through admissible vector differs from its orbit",
                         "vector": list(v),
                         "point": p.to_json_dict(),
-                        "stray": [list(w) for w in sorted(p.members - perp)],
                     }
-            if ringline.projline.is_admissible(v, m):
-                orbit = ringline.projline.cyclic_submodule(v, m)
-                if perp != orbit:
-                    return {
-                        "claim": "perp-set of admissible vector differs from its orbit",
-                        "vector": list(v),
-                        "perp_size": len(perp),
-                        "orbit_size": len(orbit),
-                    }
-                for p in containing:
-                    if p.members != orbit:
-                        return {
-                            "claim": "point through admissible vector differs from its orbit",
-                            "vector": list(v),
-                            "point": p.to_json_dict(),
-                        }
-                if len(containing) != 1:
-                    return {
-                        "claim": f"admissible vector lies in {len(containing)} points, "
-                                 "expected exactly 1",
-                        "vector": list(v),
-                        "generators": [list(p.generator) for p in containing],
-                    }
+            if len(containing) != 1:
+                return {
+                    "claim": f"admissible vector lies in {len(containing)} points, "
+                             "expected exactly 1",
+                    "vector": list(v),
+                    "generators": [list(p.generator) for p in containing],
+                }
         return None
 
     return _timed("theorem1", f"all {d * d} vectors of Z_{d}^2", body)
@@ -700,23 +693,51 @@ def test_theorem2_names_the_edges_a_dropped_edge_leaves_out(plant):
 
 @pytest.mark.parametrize("d", [12, 18, 36])
 def test_theorem2_catches_a_non_orthogonal_perp_set_member_off_square_free_d(monkeypatch, d):
+    # the swapped-in member lies outside the union of points, which theorem2
+    # does not require to be all of the perp-set off square-free d
     monkeypatch.setattr(ringline.symplectic, "perp_set", _perp_set_swapping_a_member)
-    entry = verify_theorem2(make_modulus(d))
+    m = make_modulus(d)
+    entry = verify_theorem2(m)
     assert entry.status == "fail"
-    assert entry.counterexample["claim"] == "perp-set member not orthogonal to its vector"
+    assert entry.counterexample["claim"] == "perp_rows differs from perp_set"
     v = tuple(entry.counterexample["vector"])
-    (w,) = entry.counterexample["members"]
-    assert ringline.symplectic.form(v, tuple(w), make_modulus(d)) != 0
+    members = entry.counterexample["perp_minus_rows"]
+    assert members
+    assert all(ringline.symplectic.form(v, tuple(w), m) != 0 for w in members)
 
 
 @pytest.mark.parametrize("d", [12, 18])
 @pytest.mark.parametrize(
-    "fault", ["points-containing-drops-last-match", "line-size-formula-plus-one"]
+    "fault",
+    [
+        "line-size-formula-plus-one",
+        "perp-rows-drop-a-bit",
+        "point-through-keeps-v",
+        "points-containing-drops-a-member",
+        "points-containing-drops-last-match",
+    ],
 )
 def test_theorem1_catches_point_faults_off_square_free_d(plant, capsys, fault, d):
     plant(fault)
     assert ringline.cli.main(["verify", str(d)]) == 1
     assert "FAIL theorem1" in capsys.readouterr().out
+
+
+def _perp_rows_without_zero_off_admissible(m):
+    # only the non-admissible vectors' perp-sets lose the zero vector
+    for v, rows in _perp_rows(m):
+        admissible = ringline.projline.is_admissible(v, m)
+        yield v, rows if admissible else [rows[0] & ~1, *rows[1:]]
+
+
+@pytest.mark.parametrize("d", [6, 12])
+def test_theorem2_alone_reads_non_admissible_perp_rows(monkeypatch, capsys, d):
+    monkeypatch.setattr(ringline.symplectic, "perp_rows", _perp_rows_without_zero_off_admissible)
+    assert ringline.cli.main(["verify", str(d), "--checks", "theorem1,theorem2"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS theorem1" in out
+    assert "FAIL theorem2" in out
+    assert "perp_rows differs from perp_set" in out
 
 
 @pytest.mark.parametrize(
