@@ -237,9 +237,10 @@ def cmd_verify(args: argparse.Namespace, m: Modulus) -> int:
             lines.append(line)
         return lines + _kv(("all_passed", report.all_passed))
 
-    _emit(args.format, report.to_json_dict(include_elapsed=args.timings), text,
-          lambda: [("name", "status", "scope"),
-                   *((c.name, c.status, c.scope) for c in report.checks)])
+    record = report.to_json_dict(include_elapsed=args.timings)
+    columns = ("name", "status", "scope", *(("elapsed",) if args.timings else ()))
+    _emit(args.format, record, text,
+          lambda: [columns, *([c[k] for k in columns] for c in record["checks"])])
     return 0 if report.all_passed else 1
 
 

@@ -14,8 +14,8 @@ row, and the rows of ``perp_rows``, which go through ``form``.  It also checks
 ``projline.neighbour_graph`` against the point pairs that
 ``projline.points_containing`` lists together under a non-zero vector.
 ``theorem2`` queries the points through every vector and ``theorem1`` through
-every admissible one, so past the first d queries ``points_containing`` reads
-its incidence index.
+every admissible one; ``points_containing`` answers each query from the point
+generators, never from their member sets.
 ``group`` checks ``pauli.commutes`` on every class pair against the four-fold
 product it computes there.
 """

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
-from itertools import accumulate
 from typing import Any
 
 from . import symplectic
@@ -81,16 +79,8 @@ def point_through(v: Vector2, m: Modulus) -> Point:
     return Point(gen, cyclic_submodule(v, m))
 
 
-class _Points(tuple):
-    # The cached points of one modulus, carrying the incidence state of
-    # ``points_containing``: an index lives and dies with its points.  ``index``
-    # shadows ``tuple.index``, so no public value is one of these.
-    scans = 0
-    index: tuple[array, array] | None = None
-
-
 @lru_cache(maxsize=8)
-def _points_cached(m: Modulus) -> _Points:
+def _points_cached(m: Modulus) -> tuple[tuple[Point, ...], list[tuple[int, int, list]]]:
     # The admissible members of Z_d*(b, c) are its unit multiples, so the
     # lex-smallest one sits in row g = gcd(b, d) (row 0 when g = d).  In row g,
     # (g, c) and (g, c') share a point iff c' = u*c for a unit u = 1 mod d/g:
@@ -98,21 +88,31 @@ def _points_cached(m: Modulus) -> _Points:
     # Members are drawn from one table of Z_d^2, so a vector on several points
     # is one tuple, and each set is copied from a set, which sizes its hash
     # table for its final length.
+    # Each point also fills slot c of a length-d list for its row g, keyed d
+    # for row 0, and the row table, read by ``points_containing``, has one
+    # entry per b: (h, (b/h)^-1 mod d/h, the rows g | h in enumeration order)
+    # with h = gcd(b, d), since only those rows can hold a vector (b, c).
     d = m.d
     vectors = [(b, c) for b in range(d) for c in range(d)]
     points: list[Point] = []
+    rows: dict[int, list[Point | None]] = {}
     for g in [0] + [g for g in range(1, d) if d % g == 0]:
         step = d // g if g else 1
         units = [u for u in range(1, d, step) if math.gcd(u, d) == 1]
         seen = bytearray(d)
+        row = rows[g or d] = [None] * d
         for c in range(d):
             if seen[c] or math.gcd(g, c, d) != 1:
                 continue
             for u in units:
                 seen[u * c % d] = 1
             members = frozenset({vectors[(u * g % d) * d + u * c % d] for u in range(d)})
-            points.append(Point((g, c), members))
-    return _Points(points)
+            row[c] = point = Point((g, c), members)
+            points.append(point)
+    dividing = {h: [(g, row) for g, row in rows.items() if h % g == 0] for h in rows}
+    table = [(h, pow(b // h, -1, d // h), dividing[h])
+             for b in range(d) for h in [math.gcd(b, d)]]
+    return tuple(points), table
 
 
 def enumerate_points(m: Modulus) -> list[Point]:
@@ -120,7 +120,7 @@ def enumerate_points(m: Modulus) -> list[Point]:
 
     Works for any d > 1, and there are ``line_size_formula(m)`` of them.
     """
-    return list(_points_cached(m))
+    return list(_points_cached(m)[0])
 
 
 def line_size_formula(m: Modulus) -> int:
@@ -153,48 +153,24 @@ def perp_size_formula(v: Vector2, m: Modulus) -> int:
     return m.d * math.gcd(v[0], v[1], m.d)
 
 
-def _build_incidence(pts: tuple[Point, ...], d: int) -> tuple[array, array]:
-    # CSR incidence: the indices of the points through (b, c) are
-    # indices[offsets[b*d + c]:offsets[b*d + c + 1]], ascending, since the
-    # points are visited in enumeration order.
-    counts = [0] * (d * d + 1)
-    for p in pts:
-        for b, c in p.members:
-            counts[b * d + c + 1] += 1
-    offsets = array("I", accumulate(counts))
-    fill = offsets[:-1]
-    indices = array("H" if len(pts) < 1 << 16 else "I")
-    indices.frombytes(bytes(indices.itemsize * offsets[-1]))
-    for i, p in enumerate(pts):
-        for k in [b * d + c for b, c in p.members]:
-            indices[fill[k]] = i
-            fill[k] += 1
-    return offsets, indices
-
-
 def points_containing(v: Vector2, m: Modulus) -> list[Point]:
     """All points whose member set contains v, in enumeration order; any d.
 
-    The first d queries of a modulus scan every point.  The next one builds an
-    incidence index from vector to points (5-12 times the cost of d scans at
-    d = 105-330), and it and all later queries read v's points from it.  The
-    index lives on the cached tuple of points it was built from, so it is
-    dropped with that tuple when the point cache evicts it.  It is built from
-    the enumerated members alone, never through ``point_through``, which
-    ``verify_theorem1`` compares it with.
+    The perp-set of an admissible generator p is its point (both have d
+    members, and the point lies in the perp-set), so v lies on p's point iff
+    form(p, v) = 0.  For p = (g, x) and v = (b, c) that is x*b = c*g (mod d):
+    with h = gcd(b, d), only rows g | h can hold v, a row has solutions iff
+    h | c*g, and they are x = (c*g/h) * (b/h)^-1 mod d/h plus multiples of d/h.
+    A query reads the tau(h) rows g | h, h slots of each, from the row table
+    built with the points; it reads no member set and never calls
+    ``point_through``, which ``verify_theorem1`` compares it with.
     """
     d = m.d
-    b, c = v = (v[0] % d, v[1] % d)
-    pts = _points_cached(m)
-    index = pts.index
-    if index is None:
-        if pts.scans < d:
-            pts.scans += 1
-            return [p for p in pts if v in p.members]
-        index = pts.index = _build_incidence(pts, d)
-    offsets, indices = index
-    k = b * d + c
-    return [pts[i] for i in indices[offsets[k]:offsets[k + 1]]]
+    b, c = v[0] % d, v[1] % d
+    h, inverse, rows = _points_cached(m)[1][b]
+    n = d // h
+    return [p for g, row in rows if c * g % h == 0
+            for p in row[c * g // h * inverse % n::n] if p is not None]
 
 
 def perp_as_point_union(v: Vector2, m: Modulus) -> frozenset[Vector2]:
@@ -240,11 +216,11 @@ class NeighbourGraph(Record):
 
 def neighbour_graph(m: Modulus) -> NeighbourGraph:
     """Build the neighbour graph of the line; over a field it is edgeless."""
-    pts = _points_cached(m)
+    pts = _points_cached(m)[0]
     edges = tuple(
         (i, j)
         for i in range(len(pts))
         for j in range(i + 1, len(pts))
         if not is_distant(pts[i], pts[j], m)
     )
-    return NeighbourGraph(m.d, tuple(pts), edges)
+    return NeighbourGraph(m.d, pts, edges)

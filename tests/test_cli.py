@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pathlib
 import re
@@ -379,6 +381,18 @@ def test_verify_timings_flag_in_text(capsys, timings):
     assert len(check_lines) == len(oracle.CHECK_NAMES)
     ends_with_time = [bool(re.search(r"  \(\d+\.\d{3}s\)$", line)) for line in check_lines]
     assert ends_with_time == [timings] * len(check_lines)
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_verify_timings_flag_in_csv(capsys, timings):
+    code, out, _ = run(capsys, "verify", "6", "--format", "csv", *(["--timings"] if timings else []))
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["name", "status", "scope", *(["elapsed"] if timings else [])]
+    assert [row[0] for row in rows] == list(oracle.CHECK_NAMES)
+    assert all(len(row) == len(header) for row in rows)
+    if timings:
+        assert all(float(row[3]) >= 0 for row in rows)
 
 
 def test_verify_help_lists_the_oracle_check_names(capsys):

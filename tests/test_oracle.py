@@ -1,6 +1,4 @@
 import math
-from array import array
-from itertools import accumulate
 
 import pytest
 
@@ -389,17 +387,26 @@ def test_failed_entry_always_carries_a_witness(monkeypatch):
 @pytest.mark.parametrize("d", [12, 18, 30])
 @pytest.mark.parametrize("fault", ["drop", "duplicate"])
 def test_theorem1_catches_a_dropped_or_duplicated_point(monkeypatch, d, fault):
-    # fault: the enumeration loses its last point, or lists it twice
-    points = ringline.projline._points_cached(make_modulus(d))
-    planted = type(points)(points[:-1] if fault == "drop" else points + points[-1:])
+    # fault: the enumeration loses its last point, or lists it twice; the row
+    # table loses the dropped point's slot, and has one slot for the duplicate
+    points, table = ringline.projline._points_cached(make_modulus(d))
+    last = points[-1]
+    if fault == "drop":
+        table = [(h, inverse, [(g, [None if p is last else p for p in row]) for g, row in rows])
+                 for h, inverse, rows in table]
+    planted = points[:-1] if fault == "drop" else points + (last,), table
     monkeypatch.setattr(ringline.projline, "_points_cached", lambda m: planted)
     entry = verify_theorem1(make_modulus(d))
     assert entry.status == "fail"
-    assert entry.counterexample["claim"] == (
-        f"admissible vector lies in {0 if fault == 'drop' else 2} points, expected exactly 1"
-    )
-    generators = entry.counterexample["generators"]
-    assert generators == ([] if fault == "drop" else [list(points[-1].generator)] * 2)
+    if fault == "drop":
+        assert entry.counterexample["claim"] == "admissible vector lies in 0 points, expected exactly 1"
+        assert entry.counterexample["generators"] == []
+    else:
+        assert entry.counterexample == {
+            "claim": "number of points differs from the line size formula",
+            "expected": len(points),
+            "actual": len(points) + 1,
+        }
 
 
 def _swapped_idempotents(d):
@@ -486,15 +493,13 @@ def _neighbour_graph_reversing_vertices(m):
     return ringline.projline.NeighbourGraph(g.d, g.vertices[::-1], g.edges)
 
 
-_build_incidence = ringline.projline._build_incidence
+_points_cached = ringline.projline._points_cached
 
 
-def _incidence_dropping_last_entries(pts, d):
-    # every vector's slice of the index loses its last point
-    offsets, indices = _build_incidence(pts, d)
-    slices = [indices[lo:max(lo, hi - 1)] for lo, hi in zip(offsets, offsets[1:])]
-    kept = array(indices.typecode, [i for piece in slices for i in piece])
-    return array("I", accumulate((len(piece) for piece in slices), initial=0)), kept
+def _row_table_dropping_last_rows(m):
+    # every b's entry of the row table loses its last row
+    points, table = _points_cached(m)
+    return points, [(h, inverse, rows[:-1]) for h, inverse, rows in table]
 
 
 _construct_witness = ringline.oracle.construct_witness
@@ -585,8 +590,8 @@ PLANTED_FAULTS = {
     "neighbour-graph-reverses-vertices": (
         ringline.projline, "neighbour_graph", _neighbour_graph_reversing_vertices, "theorem2",
     ),
-    "incidence-index-drops-last-entries": (
-        ringline.projline, "_build_incidence", _incidence_dropping_last_entries, "theorem2",
+    "row-table-drops-last-rows": (
+        ringline.projline, "_points_cached", _row_table_dropping_last_rows, "theorem2",
     ),
     "perp-set-swaps-a-member": (
         ringline.symplectic, "perp_set", _perp_set_swapping_a_member, "theorem2",
@@ -627,7 +632,7 @@ PLANTED_CLAIMS = {
     "neighbour-graph-drops-an-edge":
         "neighbour graph differs from the point pairs sharing a non-zero vector",
     "neighbour-graph-reverses-vertices": "neighbour graph vertices differ from the enumerated points",
-    "incidence-index-drops-last-entries": "point count through vector differs from formula",
+    "row-table-drops-last-rows": "point count through vector differs from formula",
     "perp-set-swaps-a-member": "union of containing points differs from perp-set",
     "perp-set-drops-a-coset": "union of containing points differs from perp-set",
     "perp-size-formula-plus-one": "perp-set size differs from formula",
@@ -646,9 +651,10 @@ PLANTED_CLAIMS = {
 @pytest.fixture
 def plant(monkeypatch):
     """Install a PLANTED_FAULTS row by name and return its check.  The point
-    cache is cleared around it, so a planted index builder builds a new index
-    and leaves none behind."""
-    ringline.projline._points_cached.cache_clear()
+    cache is cleared around it, so no row reads points cached before it or
+    leaves any behind."""
+    cache = ringline.projline._points_cached
+    cache.cache_clear()
 
     def install(fault):
         module, attribute, replacement, check = PLANTED_FAULTS[fault]
@@ -656,7 +662,7 @@ def plant(monkeypatch):
         return check
 
     yield install
-    ringline.projline._points_cached.cache_clear()
+    cache.cache_clear()
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))

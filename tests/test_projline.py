@@ -1,8 +1,6 @@
-import gc
 import json
 import pathlib
 import random
-import weakref
 from collections import Counter
 
 import pytest
@@ -274,62 +272,18 @@ def test_points_containing_more_examples():
     assert len(points_containing((0, 0), m12)) == 24
 
 
-def _built_index(m):
-    # scan queries until the incidence index of m exists, and return it
-    projline._points_cached.cache_clear()
-    for n in range(1, m.d + 1):
-        points_containing((0, 0), m)
-        pts = projline._points_cached(m)
-        assert (pts.scans, pts.index) == (n, None)
-    points_containing((0, 0), m)
-    return projline._points_cached(m).index
-
-
-@pytest.mark.parametrize("d", [6, 12, 36, 105])
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 9, 12, 18, 30, 36, 60, 105])
 def test_incidence_index_matches_the_scan_on_every_vector(d):
+    # points_containing, which solves incidence from the row table of the
+    # point generators, lists the same point objects in the same order as a
+    # scan of every point's members; unreduced vectors included
     m = make_modulus(d)
-    assert _built_index(m) is not None
     pts = enumerate_points(m)
     for v in [*all_vectors(d), (-1, d + 2), (3 * d, -d)]:
         scanned = [p for p in pts if (v[0] % d, v[1] % d) in p.members]
         listed = points_containing(v, m)
         assert len(listed) == len(scanned), v
         assert all(p is q for p, q in zip(listed, scanned)), v
-
-
-def test_incidence_index_resets_with_the_point_cache():
-    m = make_modulus(6)
-    assert _built_index(m) is not None
-    projline._points_cached.cache_clear()
-    points_containing((2, 0), m)
-    pts = projline._points_cached(m)
-    assert (pts.scans, pts.index) == (1, None)
-
-
-def test_an_index_survives_a_cold_build_of_another_modulus():
-    m = make_modulus(6)
-    index = _built_index(m)
-    enumerate_points(make_modulus(7))
-    assert projline._points_cached(m).index is index
-
-
-def test_eviction_frees_the_index():
-    m = make_modulus(6)
-    offsets = weakref.ref(_built_index(m)[0])
-    for d in range(7, 15):
-        enumerate_points(make_modulus(d))
-    gc.collect()
-    assert offsets() is None
-
-
-def test_one_off_perp_request_leaves_the_index_unbuilt(capsys):
-    from ringline import cli
-
-    projline._points_cached.cache_clear()
-    assert cli.main(["perp", "210", "11", "13"]) == 0
-    capsys.readouterr()
-    pts = projline._points_cached(make_modulus(210))
-    assert (pts.scans, pts.index) == (2, None)
 
 
 def test_index_set_K_examples():
@@ -461,7 +415,7 @@ def test_neighbour_graph_over_fields_is_edgeless():
 
 def test_neighbour_graph_d6():
     g = neighbour_graph(make_modulus(6))
-    assert type(g.vertices) is tuple  # a copy or pickle carries no incidence index
+    assert type(g.vertices) is tuple
     assert len(g.vertices) == 12
     assert len(g.edges) == 30
     assert Counter(i for e in g.edges for i in e) == dict.fromkeys(range(12), 5)
