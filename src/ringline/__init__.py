@@ -5,7 +5,9 @@ The library is pure stdlib and exact everywhere: ring elements are ints mod d,
 operators are exponent triples, and the independent operator model is a
 generalized permutation matrix whose entries are roots of unity encoded by
 exponent.  All values are immutable; every operation is a pure function, safe
-to call from any number of concurrent workers.
+to call from any number of concurrent workers.  The one cache, the points of
+recent lines, builds each point on first use, so concurrent callers get
+equal points, though not always the same objects.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ row, and the rows of ``perp_rows``, which go through ``form``.  It also checks
 ``projline.points_containing`` lists together under a non-zero vector.
 ``theorem2`` queries the points through every vector and ``theorem1`` through
 every admissible one; ``points_containing`` answers each query from the point
-generators, never from their member sets.
+generators, never from their member sets.  Both first build every point with
+``projline.enumerate_points``, so the points they read are the bulk-built ones.
 ``group`` checks ``pauli.commutes`` on every class pair against the four-fold
 product it computes there.
 """
@@ -26,7 +27,7 @@ import time
 from itertools import combinations
 from typing import Any, Callable, Iterable
 
-from . import pauli, projline, symplectic
+from . import pauli, projline, ring, symplectic
 from .pauli import PauliOp
 from .ring import Modulus, Record
 
@@ -109,15 +110,21 @@ def verify_theorem1(m: Modulus) -> CheckResult:
     """For every admissible vector the perp-set equals the point through it,
     and exactly one point contains the vector, namely
     ``projline.point_through``'s; the point count matches
-    ``projline.line_size_formula``.  Any d.  Perp-sets are bit rows from
-    ``symplectic.perp_rows``, compared with the rows of the point's members;
-    the points through each vector come from ``projline.points_containing``."""
+    ``projline.line_size_formula``, and the admissible vectors number
+    ``line_size_formula`` * ``ring.unit_count``.  Any d.  Perp-sets are bit
+    rows from ``symplectic.perp_rows``, compared with the rows of the point's
+    members; the points through each vector come from
+    ``projline.points_containing``, after ``projline.enumerate_points`` has
+    built every point, so the points compared are the bulk-built ones."""
     d = m.d
 
     def body() -> Counterexample | None:
+        pts = projline.enumerate_points(m)
+        admissible = 0
         for v, perp in symplectic.perp_rows(m):
             if not projline.is_admissible(v, m):
                 continue
+            admissible += 1
             through = projline.point_through(v, m)
             if perp != _rows(through.members, d):
                 return {
@@ -142,12 +149,19 @@ def verify_theorem1(m: Modulus) -> CheckResult:
                     "point": p.to_json_dict(),
                     "point_through": through.to_json_dict(),
                 }
-        pts = projline.enumerate_points(m)
         if len(pts) != (size := projline.line_size_formula(m)):
             return {
                 "claim": "number of points differs from the line size formula",
                 "expected": size,
                 "actual": len(pts),
+            }
+        if admissible != (expected := size * ring.unit_count(m)):
+            # each point has phi(d) admissible members, and each admissible
+            # vector lies on one point
+            return {
+                "claim": "number of admissible vectors differs from line size times unit count",
+                "expected": expected,
+                "actual": admissible,
             }
         return None
 
@@ -157,7 +171,8 @@ def verify_theorem1(m: Modulus) -> CheckResult:
 def verify_theorem2(m: Modulus) -> CheckResult:
     """The counting claims, for every vector at any d: number of containing
     points, perp-set size, and ``projline.index_set_K`` = the indices of the
-    primes dividing both coordinates.  The union of the containing points
+    primes dividing both coordinates, which is empty exactly when
+    ``projline.is_admissible`` holds.  The union of the containing points
     (``projline.points_containing``, ``perp_as_point_union``) lies inside the
     perp-set, equals it at square-free d, and is a proper subset for some
     vector at any other d; and the perp-set must equal the vector's rows from
@@ -228,6 +243,13 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "vector": list(v),
                     "expected": sorted(vanishing),
                     "actual": sorted(index_set),
+                }
+            if projline.is_admissible(v, m) != (not index_set):
+                return {
+                    "claim": "is_admissible differs from an empty index set K",
+                    "vector": list(v),
+                    "is_admissible": projline.is_admissible(v, m),
+                    "index_set_K": sorted(index_set),
                 }
         graph = projline.neighbour_graph(m)
         if list(graph.vertices) != pts:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from _thread import allocate_lock
 from functools import lru_cache
 from typing import Any
 
@@ -79,48 +80,75 @@ def point_through(v: Vector2, m: Modulus) -> Point:
     return Point(gen, cyclic_submodule(v, m))
 
 
+# Held while a slot changes from generator to point, so each slot changes once
+# and the list ``enumerate_points`` caches holds the objects the rows hold.
+# (``_thread``: the lock needs nothing more, and ``threading`` costs an import.)
+_filling = allocate_lock()
+
+
 @lru_cache(maxsize=8)
-def _points_cached(m: Modulus) -> tuple[tuple[Point, ...], list[tuple[int, int, list]]]:
+def _points_cached(
+    m: Modulus,
+) -> tuple[list[Point], list[tuple[int, list]], list[tuple[int, int, list]]]:
     # The admissible members of Z_d*(b, c) are its unit multiples, so the
     # lex-smallest one sits in row g = gcd(b, d) (row 0 when g = d).  In row g,
     # (g, c) and (g, c') share a point iff c' = u*c for a unit u = 1 mod d/g:
     # visit those rows only, and mark each orbit's row-g members as it is found.
-    # Members are drawn from one table of Z_d^2, so a vector on several points
-    # is one tuple, and each set is copied from a set, which sizes its hash
-    # table for its final length.
-    # Each point also fills slot c of a length-d list for its row g, keyed d
-    # for row 0, and the row table, read by ``points_containing``, has one
-    # entry per b: (h, (b/h)^-1 mod d/h, the rows g | h in enumeration order)
-    # with h = gcd(b, d), since only those rows can hold a vector (b, c).
+    # Row g, keyed d for row 0, is a length-d list whose slot c holds the point
+    # generated by (g, c), or None if (g, c) is no canonical generator.  No
+    # member set is built here: a slot holds its generator as a placeholder
+    # until ``points_containing`` or ``enumerate_points`` first needs the point,
+    # and the first list stays empty until ``enumerate_points`` fills it.
+    # The row table, read by ``points_containing``, has one entry per b:
+    # (h, (b/h)^-1 mod d/h, the rows g | h in enumeration order) with
+    # h = gcd(b, d), since only those rows can hold a vector (b, c).
     d = m.d
-    vectors = [(b, c) for b in range(d) for c in range(d)]
-    points: list[Point] = []
-    rows: dict[int, list[Point | None]] = {}
+    rows: list[tuple[int, list]] = []
     for g in [0] + [g for g in range(1, d) if d % g == 0]:
         step = d // g if g else 1
         units = [u for u in range(1, d, step) if math.gcd(u, d) == 1]
         seen = bytearray(d)
-        row = rows[g or d] = [None] * d
+        row: list[Point | Vector2 | None] = [None] * d
         for c in range(d):
             if seen[c] or math.gcd(g, c, d) != 1:
                 continue
             for u in units:
                 seen[u * c % d] = 1
-            members = frozenset({vectors[(u * g % d) * d + u * c % d] for u in range(d)})
-            row[c] = point = Point((g, c), members)
-            points.append(point)
-    dividing = {h: [(g, row) for g, row in rows.items() if h % g == 0] for h in rows}
+            row[c] = (g, c)
+        rows.append((g or d, row))
+    dividing = {h: [(g, row) for g, row in rows if h % g == 0] for h, _ in rows}
     table = [(h, pow(b // h, -1, d // h), dividing[h])
              for b in range(d) for h in [math.gcd(b, d)]]
-    return tuple(points), table
+    return [], rows, table
 
 
 def enumerate_points(m: Modulus) -> list[Point]:
     """All points of the line over Z_d, ordered by canonical generator.
 
-    Works for any d > 1, and there are ``line_size_formula(m)`` of them.
+    Works for any d > 1, and there are ``line_size_formula(m)`` of them.  The
+    first call builds, in one pass, every point no ``points_containing`` query
+    has built yet.  Their members are drawn from one table of Z_d^2, so a
+    vector on several of them is one tuple, and each set is copied from a set,
+    which sizes its hash table for its final length.  Every later call, and
+    every query, returns the same objects.
     """
-    return list(_points_cached(m)[0])
+    points, rows, _ = _points_cached(m)
+    with _filling:
+        if not points:
+            d = m.d
+            vectors = [(b, c) for b in range(d) for c in range(d)]
+            built = []
+            for _, row in rows:
+                for c, p in enumerate(row):
+                    if p.__class__ is tuple:
+                        g = p[0]
+                        p = row[c] = Point(p, frozenset(
+                            {vectors[(u * g % d) * d + u * c % d] for u in range(d)}))
+                    if p is not None:
+                        built.append(p)
+            # assigned whole, so an interrupted build leaves the list empty
+            points[:] = built
+    return list(points)
 
 
 def line_size_formula(m: Modulus) -> int:
@@ -162,15 +190,26 @@ def points_containing(v: Vector2, m: Modulus) -> list[Point]:
     with h = gcd(b, d), only rows g | h can hold v, a row has solutions iff
     h | c*g, and they are x = (c*g/h) * (b/h)^-1 mod d/h plus multiples of d/h.
     A query reads the tau(h) rows g | h, h slots of each, from the row table
-    built with the points; it reads no member set and never calls
-    ``point_through``, which ``verify_theorem1`` compares it with.
+    built with the generators, and reads no member set.  A slot whose point is
+    not built yet is filled on first use with ``point_through`` of its
+    generator, so a cold query builds only the points it returns, and
+    ``enumerate_points`` later returns those same objects.
     """
     d = m.d
     b, c = v[0] % d, v[1] % d
-    h, inverse, rows = _points_cached(m)[1][b]
+    h, inverse, rows = _points_cached(m)[2][b]
     n = d // h
-    return [p for g, row in rows if c * g % h == 0
+    return [p if p.__class__ is Point else _fill(row, p, m)
+            for g, row in rows if c * g % h == 0
             for p in row[c * g // h * inverse % n::n] if p is not None]
+
+
+def _fill(row: list, generator: Vector2, m: Modulus) -> Point:
+    point = point_through(generator, m)
+    with _filling:
+        if row[generator[1]].__class__ is not Point:
+            row[generator[1]] = point
+        return row[generator[1]]
 
 
 def perp_as_point_union(v: Vector2, m: Modulus) -> frozenset[Vector2]:
@@ -216,7 +255,7 @@ class NeighbourGraph(Record):
 
 def neighbour_graph(m: Modulus) -> NeighbourGraph:
     """Build the neighbour graph of the line; over a field it is edgeless."""
-    pts = _points_cached(m)[0]
+    pts = tuple(enumerate_points(m))
     edges = tuple(
         (i, j)
         for i in range(len(pts))

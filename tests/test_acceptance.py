@@ -7,6 +7,7 @@ budget).
 """
 
 import time
+import tracemalloc
 from itertools import product
 
 import ringline.projline
@@ -237,3 +238,24 @@ def test_criterion_13_theorem2_at_d105():
     assert entry.status == "pass", entry.counterexample
     assert elapsed < 4.0, f"took {elapsed:.2f} s"
     print(f"PASS criterion 13: theorem2 over all 11025 vectors of Z_105^2, {elapsed:.2f} s")
+
+
+def test_criterion_14_cold_points_containing_at_d2310():
+    # cold: a query builds the generators and the row table, and only the
+    # one point it returns; the line has 8640 points of 2310 members each
+    ringline.projline._points_cached.cache_clear()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        pts = points_containing((1, 2), make_modulus(2310))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        ringline.projline._points_cached.cache_clear()
+    assert [p.generator for p in pts] == [(1, 2)]
+    assert len(pts[0].members) == 2310
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    print(f"PASS criterion 14: cold points_containing at d=2310, {elapsed:.2f} s, "
+          f"peak {peak / 2**20:.1f} MB")

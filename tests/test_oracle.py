@@ -387,14 +387,18 @@ def test_failed_entry_always_carries_a_witness(monkeypatch):
 @pytest.mark.parametrize("d", [12, 18, 30])
 @pytest.mark.parametrize("fault", ["drop", "duplicate"])
 def test_theorem1_catches_a_dropped_or_duplicated_point(monkeypatch, d, fault):
-    # fault: the enumeration loses its last point, or lists it twice; the row
-    # table loses the dropped point's slot, and has one slot for the duplicate
-    points, table = ringline.projline._points_cached(make_modulus(d))
+    # fault: the enumeration loses its last point, or lists it twice; the rows
+    # lose the dropped point's slot, and have one slot for the duplicate
+    points = ringline.projline.enumerate_points(make_modulus(d))
+    _, rows, table = ringline.projline._points_cached(make_modulus(d))
     last = points[-1]
     if fault == "drop":
-        table = [(h, inverse, [(g, [None if p is last else p for p in row]) for g, row in rows])
-                 for h, inverse, rows in table]
-    planted = points[:-1] if fault == "drop" else points + (last,), table
+        def strip(rows):
+            return [(g, [None if p is last else p for p in row]) for g, row in rows]
+
+        planted = points[:-1], strip(rows), [(h, inverse, strip(rs)) for h, inverse, rs in table]
+    else:
+        planted = points + [last], rows, table
     monkeypatch.setattr(ringline.projline, "_points_cached", lambda m: planted)
     entry = verify_theorem1(make_modulus(d))
     assert entry.status == "fail"
@@ -498,8 +502,25 @@ _points_cached = ringline.projline._points_cached
 
 def _row_table_dropping_last_rows(m):
     # every b's entry of the row table loses its last row
-    points, table = _points_cached(m)
-    return points, [(h, inverse, rows[:-1]) for h, inverse, rows in table]
+    points, rows, table = _points_cached(m)
+    return points, rows, [(h, inverse, rs[:-1]) for h, inverse, rs in table]
+
+
+_enumerate_points = ringline.projline.enumerate_points
+
+
+def _bulk_build_dropping_a_member(m):
+    # the last point the bulk build makes loses its largest member; points
+    # already built by a query, through point_through, stay whole
+    points, rows, _ = _points_cached(m)
+    unbuilt = [(row, p[1]) for _, row in rows for p in row if p.__class__ is tuple]
+    _enumerate_points(m)
+    if unbuilt:
+        row, c = unbuilt[-1]
+        whole = row[c]
+        row[c] = points[points.index(whole)] = ringline.projline.Point(
+            whole.generator, whole.members - {max(whole.members)})
+    return list(points)
 
 
 _construct_witness = ringline.oracle.construct_witness
@@ -593,6 +614,15 @@ PLANTED_FAULTS = {
     "row-table-drops-last-rows": (
         ringline.projline, "_points_cached", _row_table_dropping_last_rows, "theorem2",
     ),
+    "bulk-build-drops-a-member": (
+        ringline.projline, "enumerate_points", _bulk_build_dropping_a_member, "theorem1",
+    ),
+    "is-admissible-always-false": (
+        ringline.projline, "is_admissible", lambda v, m: False, "theorem1",
+    ),
+    "is-admissible-ignores-d": (
+        ringline.projline, "is_admissible", lambda v, m: math.gcd(v[0], v[1]) == 1, "theorem2",
+    ),
     "perp-set-swaps-a-member": (
         ringline.symplectic, "perp_set", _perp_set_swapping_a_member, "theorem2",
     ),
@@ -645,6 +675,10 @@ PLANTED_CLAIMS = {
     "perp-rows-fill-non-admissible": "perp_rows differs from perp_set",
     "points-containing-drops-a-member":
         "point through admissible vector differs from point_through",
+    "bulk-build-drops-a-member": "point through admissible vector differs from point_through",
+    "is-admissible-always-false":
+        "number of admissible vectors differs from line size times unit count",
+    "is-admissible-ignores-d": "is_admissible differs from an empty index set K",
 }
 
 
@@ -716,6 +750,7 @@ def test_theorem2_catches_a_non_orthogonal_perp_set_member_off_square_free_d(mon
 @pytest.mark.parametrize(
     "fault",
     [
+        "bulk-build-drops-a-member",
         "line-size-formula-plus-one",
         "perp-rows-drop-a-bit",
         "point-through-keeps-v",
@@ -727,6 +762,31 @@ def test_theorem1_catches_point_faults_off_square_free_d(plant, capsys, fault, d
     plant(fault)
     assert ringline.cli.main(["verify", str(d)]) == 1
     assert "FAIL theorem1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("d", [6, 12, 36])
+@pytest.mark.parametrize("fault", ["is-admissible-always-false", "is-admissible-ignores-d"])
+def test_verify_fails_an_is_admissible_fault_in_both_theorems(plant, capsys, fault, d):
+    # theorem1 counts the vectors it reads, and theorem2 ties is_admissible to
+    # the index set K, so neither passes on the vectors a fault hides
+    plant(fault)
+    assert ringline.cli.main(["verify", str(d)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL theorem1" in out
+    assert "FAIL theorem2" in out
+
+
+def test_theorem1_names_both_admissible_counts(plant):
+    plant("is-admissible-ignores-d")
+    m = make_modulus(6)
+    entry = verify_theorem1(m)
+    # (5, 0), (0, 5) and (5, 5) are admissible mod 6, but their coordinates
+    # share the factor 5, so the fault skips them
+    assert entry.counterexample == {
+        "claim": PLANTED_CLAIMS["is-admissible-always-false"],
+        "expected": 12 * 2,
+        "actual": sum(math.gcd(b, c) == 1 for b in range(6) for c in range(6)),
+    }
 
 
 def _perp_rows_without_zero_off_admissible(m):

@@ -1,6 +1,8 @@
 import json
 import pathlib
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -240,8 +242,76 @@ def test_point_cache_is_bounded():
 @pytest.mark.parametrize("d", [12, 30])
 def test_points_share_one_tuple_per_vector(d):
     # a vector on several points is one object, so the points hold d^2 tuples
+    # when the bulk build makes them all
+    projline._points_cached.cache_clear()
     pts = enumerate_points(make_modulus(d))
     assert len({id(w) for p in pts for w in p.members}) == d * d
+
+
+def _built(m):
+    # the points in the cache whose member sets exist
+    _, rows, _ = projline._points_cached(m)
+    return [p for _, row in rows for p in row if isinstance(p, Point)]
+
+
+@pytest.mark.parametrize("d", [12, 30, 36])
+@pytest.mark.parametrize("v", [(1, 2), (2, 0), (0, 0)])
+def test_points_containing_builds_only_the_points_it_returns(d, v):
+    m = make_modulus(d)
+    projline._points_cached.cache_clear()
+    got = points_containing(v, m)
+    assert sorted(map(id, _built(m))) == sorted(map(id, got))
+    assert [id(p) for p in points_containing(v, m)] == [id(p) for p in got]
+    pts = enumerate_points(m)
+    assert [next(q for q in pts if q is p) for p in got] == got
+
+
+@pytest.mark.parametrize("d", [12, 30])
+def test_points_containing_returns_the_enumerated_objects(d):
+    m = make_modulus(d)
+    projline._points_cached.cache_clear()
+    pts = enumerate_points(m)
+    assert enumerate_points(m) == pts
+    assert all(p is q for p, q in zip(enumerate_points(m), pts))
+    ids = {id(p) for p in pts}
+    for v in all_vectors(d):
+        assert all(id(p) in ids for p in points_containing(v, m))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_concurrent_callers_fill_each_slot_once(seed):
+    # threads race to build the points of one cached line; every caller must
+    # get the objects the rows and the enumeration keep
+    m = make_modulus(60)
+    projline._points_cached.cache_clear()
+    projline._points_cached(m)
+    vectors = all_vectors(60)
+    results = [[] for _ in range(6)]
+
+    def work(i):
+        rng = random.Random(seed * 6 + i)
+        for k in range(40):
+            if k == 20 + i % 2:
+                results[i].extend(enumerate_points(m))
+            else:
+                results[i].extend(points_containing(rng.choice(vectors), m))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    pts = enumerate_points(m)
+    assert len(pts) == line_size_formula(m)
+    ids = {id(p) for p in pts}
+    assert all(id(p) in ids for result in results for p in result)
+    assert [id(p) for p in _built(m)] == [id(p) for p in pts]
 
 
 def test_point_count_formula_up_to_105():
