@@ -8,9 +8,16 @@ check that does not apply is reported as skipped, never silently passed.
 ``theorem1`` and ``witness_construction`` read perp-sets as bit rows from
 ``symplectic.perp_rows``, which gets all d^4 pairs from 2d^2 values of the form
 by bilinearity; ``theorem1`` reads only the admissible vectors, the rest are
-``theorem2``'s.  ``theorem2`` compares two independent builds of every
-perp-set: ``symplectic.perp_set``, which solves b*c' = c*b' (mod d) row by
-row, and the rows of ``perp_rows``, which go through ``form``.  It also checks
+``theorem2``'s.  Each of the three counts the cases it read against a closed
+form, so a source that yields too few cannot pass it: ``theorem1`` reads
+line size * unit count admissible vectors, ``theorem2`` d^2 vectors and
+``witness_construction`` d * prod (p^2 + p - 1) pairs.  ``theorem1`` also
+checks every enumerated point's generator against its definition, the least
+admissible member, since ``projline`` builds the generators of the
+enumeration and of ``point_through`` by the same rule.  ``theorem2`` compares
+two independent builds of every perp-set: ``symplectic.perp_set``, which
+solves b*c' = c*b' (mod d) row by row, and the rows of ``perp_rows``, which
+go through ``form``.  It also checks
 ``projline.neighbour_graph`` against the point pairs that
 ``projline.points_containing`` lists together under a non-zero vector.
 ``theorem2`` queries the points through every vector and ``theorem1`` through
@@ -23,6 +30,7 @@ product it computes there.
 
 from __future__ import annotations
 
+import math
 import time
 from itertools import combinations
 from typing import Any, Callable, Iterable
@@ -107,19 +115,32 @@ def _members(rows: list[int]) -> list[tuple[int, int]]:
 
 
 def verify_theorem1(m: Modulus) -> CheckResult:
-    """For every admissible vector the perp-set equals the point through it,
-    and exactly one point contains the vector, namely
-    ``projline.point_through``'s; the point count matches
-    ``projline.line_size_formula``, and the admissible vectors number
+    """Every enumerated point's generator is its least admissible member, by
+    the definition (gcd(b, c, d) = 1 over its members); for every admissible
+    vector the perp-set equals the point through it, and exactly one point
+    contains the vector, namely ``projline.point_through``'s; the point count
+    matches ``projline.line_size_formula``, and the admissible vectors number
     ``line_size_formula`` * ``ring.unit_count``.  Any d.  Perp-sets are bit
     rows from ``symplectic.perp_rows``, compared with the rows of the point's
     members; the points through each vector come from
     ``projline.points_containing``, after ``projline.enumerate_points`` has
-    built every point, so the points compared are the bulk-built ones."""
+    built every point, so the points compared are the bulk-built ones.  The
+    enumeration and ``point_through`` share one generator rule, so only the
+    definition can catch a wrong one."""
     d = m.d
 
     def body() -> Counterexample | None:
         pts = projline.enumerate_points(m)
+        for p in pts:
+            # the definition, read off the members without is_admissible,
+            # which the admissible count below checks
+            least = min((w for w in p.members if math.gcd(w[0], w[1], d) == 1), default=None)
+            if p.generator != least:
+                return {
+                    "claim": "point generator is not its least admissible member",
+                    "generator": list(p.generator),
+                    "least_admissible_member": least and list(least),
+                }
         admissible = 0
         for v, perp in symplectic.perp_rows(m):
             if not projline.is_admissible(v, m):
@@ -180,7 +201,7 @@ def verify_theorem2(m: Modulus) -> CheckResult:
     The neighbour graph's vertices are the enumerated points, and its edges
     join exactly the points sharing a non-zero vector: the pairs co-listed by
     ``points_containing`` under some non-zero vector, whose points must all be
-    enumerated ones."""
+    enumerated ones.  ``perp_rows`` must yield all d^2 vectors."""
     d = m.d
 
     def body() -> Counterexample | None:
@@ -188,7 +209,9 @@ def verify_theorem2(m: Modulus) -> CheckResult:
         index_of = {id(p): i for i, p in enumerate(pts)}
         sharing: set[tuple[int, int]] = set()
         proper_union_seen = False
+        read = 0
         for v, rows in symplectic.perp_rows(m):
+            read += 1
             containing = projline.points_containing(v, m)
             expected_points = projline.point_count_formula(v, m)
             if len(containing) != expected_points:
@@ -251,6 +274,12 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "is_admissible": projline.is_admissible(v, m),
                     "index_set_K": sorted(index_set),
                 }
+        if read != d * d:
+            return {
+                "claim": "number of vectors read differs from d^2",
+                "expected": d * d,
+                "actual": read,
+            }
         graph = projline.neighbour_graph(m)
         if list(graph.vertices) != pts:
             return {
@@ -312,14 +341,18 @@ def construct_witness(
 
 def verify_witness_construction(m: Modulus) -> CheckResult:
     """For every v and every w in v-perp, the recipe yields an admissible
-    generator whose point provably contains both (via the returned scalars)."""
+    generator whose point provably contains both (via the returned scalars);
+    the pairs number d * prod (p^2 + p - 1), the sum of d * gcd(b, c, d)."""
     if not m.square_free:
         raise ValueError(f"witness construction check requires square-free d, got d={m.d}")
     d = m.d
 
     def body() -> Counterexample | None:
+        pairs = 0
         for v, perp in symplectic.perp_rows(m):
-            for w in _members(perp):
+            members = _members(perp)
+            pairs += len(members)
+            for w in members:
                 gen, u, s = construct_witness(v, w, m)
                 failure = None
                 if not projline.is_admissible(gen, m):
@@ -337,6 +370,13 @@ def verify_witness_construction(m: Modulus) -> CheckResult:
                         "u": u,
                         "s": s,
                     }
+        # sum over v of |perp(v)| = d * gcd(b, c, d), prime by prime
+        if pairs != (expected := d * math.prod(p * p + p - 1 for p in m.primes)):
+            return {
+                "claim": "number of witness pairs differs from d * prod (p^2 + p - 1)",
+                "expected": expected,
+                "actual": pairs,
+            }
         return None
 
     return _timed(

@@ -38,7 +38,8 @@ class Point(Record):
     ``generator`` is canonical: the lexicographically smallest admissible
     member.  Equality and hashing go through the generator alone.  That agrees
     with member-set equality because Points are built only by
-    ``point_through`` and by enumeration, and both store the canonical member.
+    ``point_through`` and by enumeration, and both take the generator from
+    ``_generator``.
     """
 
     __slots__ = ("generator", "members")
@@ -56,28 +57,31 @@ class Point(Record):
         }
 
 
+def _generator(g: int, x: int, d: int) -> Vector2:
+    """The canonical generator of the point through (g, x), for g | d (g = d
+    for row 0) and gcd(x, g, d/g) = 1.  (g, x') lies on that point iff
+    x' = u*x for a unit u = 1 (mod d/g), which prime by prime holds iff
+    x' = x (mod d/g) and x' is prime to g: the least such x' is the generator's."""
+    n = d // g
+    for y in range(x % n, d, n):
+        if math.gcd(y, g) == 1:
+            return g % d, y
+    raise ValueError(f"({g}, {x}) lies on no point mod {d}")
+
+
 def point_through(v: Vector2, m: Modulus) -> Point:
     """The point generated by an admissible vector, with canonical generator.
 
-    The admissible members of Z_d * (b, c) are its unit multiples, and the
-    first coordinates u*b of those are the residues sharing g = gcd(b, d)
-    with d, the least of which is g.  So the canonical generator is (0, 1)
-    when b = 0, and otherwise (g, least u*c mod d) over the units u with
-    u*b = g, i.e. u = (b/g)^-1 mod d/g: g candidates instead of a scan of
-    the d members.
+    Its admissible members are the unit multiples of v = (b, c), whose first
+    coordinates share g = gcd(b, d) with d, so the least lies in row g: the
+    unit u = (b/g)^-1 mod d/g maps v to (g, u*c), which ``_generator`` lifts.
     """
     d = m.d
     b, c = v = (v[0] % d, v[1] % d)
     if not is_admissible(v, m):
         raise ValueError(f"{v} is not admissible mod {d}: gcd = {math.gcd(b, c, d)}")
     g = math.gcd(b, d)
-    if g == d:
-        gen = (0, 1)
-    else:
-        step = d // g
-        gen = (g, min(u * c % d for u in range(pow(b // g, -1, step), d, step)
-                      if math.gcd(u, d) == 1))
-    return Point(gen, cyclic_submodule(v, m))
+    return Point(_generator(g, c * pow(b // g, -1, d // g), d), cyclic_submodule(v, m))
 
 
 # Held while a slot changes from generator to point, so each slot changes once
@@ -90,32 +94,25 @@ _filling = allocate_lock()
 def _points_cached(
     m: Modulus,
 ) -> tuple[list[Point], list[tuple[int, list]], list[tuple[int, int, list]]]:
-    # The admissible members of Z_d*(b, c) are its unit multiples, so the
-    # lex-smallest one sits in row g = gcd(b, d) (row 0 when g = d).  In row g,
-    # (g, c) and (g, c') share a point iff c' = u*c for a unit u = 1 mod d/g:
-    # visit those rows only, and mark each orbit's row-g members as it is found.
-    # Row g, keyed d for row 0, is a length-d list whose slot c holds the point
-    # generated by (g, c), or None if (g, c) is no canonical generator.  No
-    # member set is built here: a slot holds its generator as a placeholder
-    # until ``points_containing`` or ``enumerate_points`` first needs the point,
-    # and the first list stays empty until ``enumerate_points`` fills it.
+    # The lex-least admissible member of Z_d*(b, c), a unit multiple, lies in
+    # row g = gcd(b, d), keyed d for row 0.  Row g has one point per residue
+    # r mod d/g with gcd(r, g, d/g) = 1, generated by ``_generator(g, r, d)``,
+    # and is a length-d list whose slot c holds the point generated by
+    # (g mod d, c), or None if that is no canonical generator.  No member set
+    # is built here: a slot holds its generator as a placeholder until
+    # ``points_containing`` or ``enumerate_points`` first needs the point, and
+    # the first list stays empty until ``enumerate_points`` fills it.
     # The row table, read by ``points_containing``, has one entry per b:
     # (h, (b/h)^-1 mod d/h, the rows g | h in enumeration order) with
     # h = gcd(b, d), since only those rows can hold a vector (b, c).
     d = m.d
     rows: list[tuple[int, list]] = []
-    for g in [0] + [g for g in range(1, d) if d % g == 0]:
-        step = d // g if g else 1
-        units = [u for u in range(1, d, step) if math.gcd(u, d) == 1]
-        seen = bytearray(d)
+    for g in [d, *(g for g in range(1, d) if d % g == 0)]:
+        n = d // g
         row: list[Point | Vector2 | None] = [None] * d
-        for c in range(d):
-            if seen[c] or math.gcd(g, c, d) != 1:
-                continue
-            for u in units:
-                seen[u * c % d] = 1
-            row[c] = (g, c)
-        rows.append((g or d, row))
+        for gen in (_generator(g, r, d) for r in range(n) if math.gcd(r, g, n) == 1):
+            row[gen[1]] = gen
+        rows.append((g, row))
     dividing = {h: [(g, row) for g, row in rows if h % g == 0] for h, _ in rows}
     table = [(h, pow(b // h, -1, d // h), dividing[h])
              for b in range(d) for h in [math.gcd(b, d)]]

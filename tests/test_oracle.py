@@ -435,6 +435,10 @@ def _perp_rows_without_zero(m):
         yield v, [rows[0] & ~1, *rows[1:]]
 
 
+def _perp_rows_stopping_after_first_vector(m):
+    yield next(iter(_perp_rows(m)))
+
+
 def _perp_rows_filling_non_admissible(m):
     # every non-admissible vector gets the whole of Z_d^2 as its perp-set
     for v, rows in _perp_rows(m):
@@ -458,6 +462,15 @@ def _points_with_a_member_missing(v, m):
 
 
 _perp_set = ringline.symplectic.perp_set
+_cyclic_submodule = ringline.projline.cyclic_submodule
+_is_unit = ringline.projline.is_unit
+
+
+def _generator_taking_largest_lift(g, x, d):
+    # the largest lift of x mod d/g prime to g: still on the point, but not its
+    # least admissible member unless that is the point's only one in row g
+    n = d // g
+    return g % d, max(y for y in range(x % n, d, n) if math.gcd(y, g) == 1)
 
 
 def _perp_set_swapping_a_member(v, m):
@@ -654,6 +667,24 @@ PLANTED_FAULTS = {
     "points-containing-drops-a-member": (
         ringline.projline, "points_containing", _points_with_a_member_missing, "theorem1",
     ),
+    "perp-rows-stops-after-first-vector": (
+        ringline.symplectic, "perp_rows", _perp_rows_stopping_after_first_vector,
+        "witness_construction",
+    ),
+    "generator-takes-largest-lift": (
+        ringline.projline, "_generator", _generator_taking_largest_lift, "theorem1",
+    ),
+    "cyclic-submodule-drops-zero": (
+        ringline.projline, "cyclic_submodule",
+        lambda v, m: _cyclic_submodule(v, m) - {(0, 0)}, "theorem1",
+    ),
+    # is_distant reads projline's own is_unit; patching ring.is_unit misses it
+    "is-unit-negated": (
+        ringline.projline, "is_unit", lambda x, m: not _is_unit(x, m), "theorem2",
+    ),
+    "is-perp-always-true": (
+        ringline.symplectic, "is_perp", lambda v, w, m: True, "group",
+    ),
 }
 
 # the exact claim each of these rows produces at d=6
@@ -679,6 +710,12 @@ PLANTED_CLAIMS = {
     "is-admissible-always-false":
         "number of admissible vectors differs from line size times unit count",
     "is-admissible-ignores-d": "is_admissible differs from an empty index set K",
+    "perp-rows-stops-after-first-vector":
+        "number of witness pairs differs from d * prod (p^2 + p - 1)",
+    "generator-takes-largest-lift": "point generator is not its least admissible member",
+    "cyclic-submodule-drops-zero": "perp-set of admissible vector differs from its orbit",
+    "is-unit-negated": "neighbour graph differs from the point pairs sharing a non-zero vector",
+    "is-perp-always-true": "commutes differs from the four-fold product",
 }
 
 
@@ -714,6 +751,60 @@ def test_planted_fault_reports_its_claim_at_d6(plant, fault):
     (entry,) = verify_all(make_modulus(6), checks=[check]).checks
     assert entry.status == "fail"
     assert entry.counterexample["claim"] == PLANTED_CLAIMS[fault]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["generator-takes-largest-lift", "cyclic-submodule-drops-zero", "is-unit-negated",
+     "is-perp-always-true"],
+)
+def test_planted_fault_reports_its_claim_at_d12(plant, capsys, fault):
+    check = plant(fault)
+    assert ringline.cli.main(["verify", "12", "--checks", check]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {check}" in out
+    assert PLANTED_CLAIMS[fault] in out
+
+
+@pytest.mark.parametrize("d", [6, 12, 36])
+def test_theorem1_catches_a_non_least_generator(plant, d):
+    # the enumeration and point_through share the wrong rule and agree with
+    # each other; only the definition tells
+    plant("generator-takes-largest-lift")
+    (entry,) = verify_all(make_modulus(d), checks=["theorem1"]).checks
+    assert entry.status == "fail"
+    assert entry.counterexample["claim"] == PLANTED_CLAIMS["generator-takes-largest-lift"]
+    generator = tuple(entry.counterexample["generator"])
+    least = tuple(entry.counterexample["least_admissible_member"])
+    assert least < generator
+    assert least in ringline.projline.point_through(generator, make_modulus(d)).members
+
+
+@pytest.mark.parametrize("d, pairs", [(6, 6 * 5 * 11), (30, 30 * 5 * 11 * 29)])
+def test_witness_construction_counts_its_pairs(plant, d, pairs):
+    plant("perp-rows-stops-after-first-vector")
+    (entry,) = verify_all(make_modulus(d), checks=["witness_construction"]).checks
+    # the first vector is (0, 0), whose perp-set is all of Z_d^2
+    assert entry.counterexample == {
+        "claim": PLANTED_CLAIMS["perp-rows-stops-after-first-vector"],
+        "expected": pairs,
+        "actual": d * d,
+    }
+
+
+@pytest.mark.parametrize(
+    "source, read", [(lambda m: iter(()), 0), (_perp_rows_stopping_after_first_vector, 1)]
+)
+def test_theorem2_counts_the_vectors_it_reads_at_d7(monkeypatch, source, read):
+    # over a field every union of points is its perp-set and the neighbour
+    # graph is edgeless, so only the count tells a short source
+    monkeypatch.setattr(ringline.symplectic, "perp_rows", source)
+    (entry,) = verify_all(make_modulus(7), checks=["theorem2"]).checks
+    assert entry.counterexample == {
+        "claim": "number of vectors read differs from d^2",
+        "expected": 49,
+        "actual": read,
+    }
 
 
 @pytest.mark.parametrize("d", [12, 30])

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 import sys
@@ -213,6 +214,34 @@ def test_enumerate_points_matches_reference_scan():
         got, want = enumerate_points(m), reference_points(m)
         assert [p.generator for p in got] == [p.generator for p in want], d
         assert [p.members for p in got] == [p.members for p in want], d
+
+
+def _reference_rows(m):
+    # the orbit-marking scan: visit every slot of row g (row 0 keyed d) and
+    # mark the row-g members u*c, u a unit = 1 mod d/g, of each new orbit
+    d = m.d
+    rows = []
+    for g in [0] + [g for g in range(1, d) if d % g == 0]:
+        step = d // g if g else 1
+        units = [u for u in range(1, d, step) if math.gcd(u, d) == 1]
+        seen = bytearray(d)
+        row = [None] * d
+        for c in range(d):
+            if seen[c] or math.gcd(g, c, d) != 1:
+                continue
+            for u in units:
+                seen[u * c % d] = 1
+            row[c] = (g, c)
+        rows.append((g or d, row))
+    return rows
+
+
+def test_point_rows_match_the_orbit_marking_scan():
+    # off square-free d, gcd(r, g, d/g) > 1 skips residues of a row
+    for d in [*range(2, 151), 210, 330, 360, 1024, 2310, 3600]:
+        m = make_modulus(d)
+        projline._points_cached.cache_clear()
+        assert projline._points_cached(m)[1] == _reference_rows(m), d
 
 
 def test_point_count_is_dedekind_psi_for_every_d():
