@@ -9,7 +9,9 @@ Each command computes its values once into one record, the JSON object README
 specifies, and hands it to ``_emit`` with two views derived from it: text
 lines and CSV rows.  The views are functions, so only the requested format is
 ever rendered; JSON is the record itself, with library objects serialized
-through their ``to_json_dict``.
+through their ``to_json_dict``.  ``_json`` writes it byte for byte as
+``json.dumps(record, indent=2)`` would, in one pass that formats each list of
+int pairs at once instead of encoding it int by int.
 
 Each command imports the layers it uses when it runs, so a request loads only
 those: ``factor`` needs ``ring`` alone.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .ring import make_modulus, unit_count
@@ -86,13 +89,45 @@ def _point_line(p: Point, d: int) -> str:
     return f"point {p.label(d)} = {_vecs(sorted(p.members))}"
 
 
+def _json(value: Any, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, default=lambda o: o.to_json_dict())``
+    writes it, nested at ``indent`` (a newline and the enclosing spaces).
+
+    Any ``indent`` makes the stdlib skip its C encoder (CPython 3.10-3.13) and
+    walk every bracket and int in Python.  Here scalars and keys still go
+    through ``json.dumps``, but a list of exact-int pairs (the member lists,
+    and the graph's vertex and edge lists, nearly all of a large record) is
+    one %-format over a pair template."""
+    import json
+
+    if isinstance(value, (str, int, float)) or value is None:
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # json writes an int, float, bool or None key as its JSON text, quoted
+        return "{" + ",".join(
+            f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
+            for k, v in value.items()) + indent + "}"
+    if not isinstance(value, (list, tuple)):
+        return _json(value.to_json_dict(), indent)
+    if not value:
+        return "[]"
+    if set(map(type, value)) <= {list, tuple} and set(map(len, value)) == {2}:
+        flat = tuple(chain.from_iterable(value))
+        if set(map(type, flat)) == {int}:
+            pair = f"{inner}[{inner}  %d,{inner}  %d{inner}]"
+            return "[" + ",".join([pair] * len(value)) % flat + indent + "]"
+    return "[" + ",".join(inner + _json(v, inner) for v in value) + indent + "]"
+
+
 def _emit(fmt: str, record: Any, text: Callable[[], list[str]],
           rows: Callable[[], list[Sequence[Any]]] | None = None) -> None:
-    """Print one command's output in the requested format; CSV rows start with the header."""
+    """Print one command's output in the requested format; CSV rows start with the header
+    and JSON is ``_json``'s, the bytes of ``json.dumps(record, indent=2)``."""
     if fmt == "json":
-        import json
-
-        out = json.dumps(record, indent=2, default=lambda o: o.to_json_dict()) + "\n"
+        out = _json(record, "\n") + "\n"
     elif fmt == "csv" and rows is not None:
         import csv
 

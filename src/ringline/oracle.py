@@ -25,7 +25,8 @@ every admissible one; ``points_containing`` answers each query from the point
 generators, never from their member sets.  Both first build every point with
 ``projline.enumerate_points``, so the points they read are the bulk-built ones.
 ``group`` checks ``pauli.commutes`` on every class pair against the four-fold
-product it computes there.
+product it computes there, and counts the d^4 pairs before it reads the centre
+off them.
 """
 
 from __future__ import annotations
@@ -387,8 +388,10 @@ def verify_witness_construction(m: Modulus) -> CheckResult:
 def verify_group(m: Modulus) -> CheckResult:
     """Closure order d^3, then one pass over all class pairs: every four-fold
     product W W' W^-1 W'^-1 equals the closed-form commutator and is the
-    identity exactly when ``pauli.commutes`` holds, and the same products give the brute-force centre, the commutator set (= centre) and,
-    square-free only, exhaustive commutant sizes against the formula.
+    identity exactly when ``pauli.commutes`` holds, and the pairs number d^4.
+    The same products give the brute-force centre, the commutator set
+    (= centre) and, square-free only, exhaustive commutant sizes against the
+    formula.
 
     Once every product equals ``pauli.commutator`` and the brute-force centre
     equals ``pauli.centre``, the commutator set is the set of closed-form
@@ -424,9 +427,11 @@ def verify_group(m: Modulus) -> CheckResult:
         classes = [(w, pauli.inverse(w, m)) for w in (PauliOp(0, b, c) for b, c in _vectors(d))]
         comms = set()
         commuting = []  # per class: how many classes commute with it
+        pairs = 0
         for w, winv in classes:
             n = 0
             for w2, w2inv in classes:
+                pairs += 1
                 prod = pauli.multiply(pauli.multiply(pauli.multiply(w, w2, m), winv, m), w2inv, m)
                 closed = pauli.commutator(w, w2, m)
                 if prod != closed:
@@ -448,6 +453,12 @@ def verify_group(m: Modulus) -> CheckResult:
                 comms.add(prod)
                 n += trivial
             commuting.append(n)
+        if pairs != d**4:
+            return {
+                "claim": "number of class pairs differs from d^4",
+                "expected": d**4,
+                "actual": pairs,
+            }
 
         central = [w for (w, _), n in zip(classes, commuting) if n == d * d]
         brute_centre = {PauliOp(a, w.b, w.c) for w in central for a in range(d)}

@@ -6,6 +6,7 @@ with perf_counter around the library calls (process startup is not part of any
 budget).
 """
 
+import json
 import time
 import tracemalloc
 from itertools import product
@@ -259,3 +260,22 @@ def test_criterion_14_cold_points_containing_at_d2310():
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
     print(f"PASS criterion 14: cold points_containing at d=2310, {elapsed:.2f} s, "
           f"peak {peak / 2**20:.1f} MB")
+
+
+def test_criterion_15_points_json_at_d210(capsys):
+    # warm: the 576 points of 210 members each are built first, so the budget
+    # is the record's rendering, 6 MB of JSON (best of three runs)
+    m = make_modulus(210)
+    pts = enumerate_points(m)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert main(["points", "210", "--format", "json"]) == 0
+        best = min(best, time.perf_counter() - start)
+        out = capsys.readouterr().out
+    record = {"d": 210, "count": len(pts), "count_formula": line_size_formula(m), "points": pts}
+    # a bool, so a failure does not have pytest diff 6 MB line by line
+    same = out == json.dumps(record, indent=2, default=lambda o: o.to_json_dict()) + "\n"
+    assert same, "stdout differs from json.dumps(record, indent=2)"
+    assert best < 0.2, f"took {best:.3f} s"
+    print(f"PASS criterion 15: points 210 --format json, {len(out)} bytes, {best:.3f} s")

@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from ringline import oracle, pauli, projline, symplectic
+from ringline import cli, oracle, pauli, projline, symplectic
 from ringline.cli import main
+from ringline.ring import make_modulus
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # argv -> exact stdout and exit code: every command in every format at
@@ -433,3 +434,70 @@ def test_usage_errors(capsys):
     assert run(capsys, "nosuchcommand")[0] == 2
     assert run(capsys, "perp", "6", "2")[0] == 2
     assert run(capsys)[0] == 2
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, default=lambda o: o.to_json_dict())
+
+
+def _first_difference(out, expected):
+    """Where two outputs part.  Asserting ``out == expected`` directly would
+    have pytest diff megabytes of JSON line by line, which takes minutes."""
+    i = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b),
+             min(len(out), len(expected)))
+    return f"differ at offset {i}: {out[i - 40:i + 40]!r} != {expected[i - 40:i + 40]!r}"
+
+
+def _emitted(monkeypatch, capsys, argv):
+    """The records a command hands to _emit, and what it printed."""
+    records = []
+    emit = cli._emit
+
+    def spy(fmt, record, *views):
+        records.append(record)
+        emit(fmt, record, *views)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    code, out, _ = run(capsys, *argv)
+    return code, records, out
+
+
+@pytest.mark.parametrize("argv", [
+    *sorted(a for a, e in CLI_OUTPUTS.items() if "--format json" in a and e["exit"] != 2),
+    *(f"{cmd} {d} --format json" for cmd in ("points", "graph") for d in (2, 6, 12, 36, 105)),
+    # d = 30 with 1, 3, 12 and all 72 containing points, then d with square factors
+    *(f"perp {d} {b} {c} --format json"
+      for d, b, c in ((30, 1, 2), (30, 2, 4), (30, 6, 0), (30, 0, 0), (210, 1, 207),
+                      (12, 2, 4), (36, 6, 12), (36, 0, 0), (8, 4, 4))),
+    "verify 6 --format json --timings",
+])
+def test_json_output_is_json_dumps_with_indent_2(monkeypatch, capsys, argv):
+    code, records, out = _emitted(monkeypatch, capsys, argv.split())
+    assert code in (0, 1)
+    (record,) = records
+    expected = _dumps(record) + "\n"
+    same = out == expected
+    assert same, _first_difference(out, expected)
+
+
+@pytest.mark.parametrize("value", [
+    # lists that look like int pairs but are not, or are only in part
+    [[True, 1]], [[None, 1]], [[1, 2], [3]], [[1, 2], (3, 4)], [[1, 2, 3]], [[1.5, 2]],
+    [["1", 2]], [[1, 2], 3], [pauli.PauliOp(1, 2, 3)], [pauli.PauliOp(1, 2, 3), [1, 2]],
+    [], {}, [[]], [{}], [[], []], {"a": []}, {"a": {}},
+    [[-1, -2]], [[2**63, -(2**64) - 1]], [[0, 0]] * 3, ((1, 2),), (1, 2),
+    "d\u00e9j\u00e0 vu \U0001d4b5", 'say "q" \\ \n\t', {"cl\u00e9 \"q\"": [[1, 2]]},
+    1.5, float("nan"), float("-inf"), 1e300, True, False, None, 0, -(2**70),
+    {"a": {"b": [[1, 2]], "c": [[[1, 2], [3, 4]]]}, 2: None, None: 2.5, True: 3, 1.5: "x"},
+    {"checks": [{"elapsed": 0.0012, "counterexample": None}], "all_passed": False},
+])
+def test_json_writer_matches_json_dumps_on_crafted_values(value):
+    assert cli._json(value, "\n") == _dumps(value)
+
+
+def test_json_writer_reaches_library_objects_inside_containers():
+    m = make_modulus(12)
+    value = {"perp": [symplectic.perp_set((2, 4), m)],
+             "points": projline.points_containing((6, 0), m),
+             "graph": (projline.neighbour_graph(make_modulus(4)),), "modulus": m}
+    assert cli._json(value, "\n") == _dumps(value)

@@ -6,6 +6,7 @@ import ringline.cli
 import ringline.oracle
 import ringline.pauli
 import ringline.projline
+import ringline.ring
 import ringline.symplectic
 from ringline.oracle import (
     CHECK_NAMES,
@@ -550,9 +551,13 @@ def _witness_with_s_plus_one(v, w, m):
 
 
 _perp_size_formula = ringline.projline.perp_size_formula
+_point_count_formula = ringline.projline.point_count_formula
+_unit_count = ringline.ring.unit_count
 _group_closure_order = ringline.pauli.group_closure_order
 _centre = ringline.pauli.centre
 _commuting_count = ringline.pauli.commuting_count
+_commutator = ringline.pauli.commutator
+_vectors = ringline.oracle._vectors
 
 
 def _matmul_dropping_left_phase(self, other):
@@ -685,6 +690,20 @@ PLANTED_FAULTS = {
     "is-perp-always-true": (
         ringline.symplectic, "is_perp", lambda v, w, m: True, "group",
     ),
+    "commutator-sign-flipped": (
+        ringline.pauli, "commutator",
+        lambda w, w2, m: PauliOp(-_commutator(w, w2, m).a % m.d, 0, 0), "group",
+    ),
+    "point-count-formula-plus-one": (
+        ringline.projline, "point_count_formula", lambda v, m: _point_count_formula(v, m) + 1,
+        "theorem2",
+    ),
+    "unit-count-plus-one": (
+        ringline.ring, "unit_count", lambda m: _unit_count(m) + 1, "theorem1",
+    ),
+    "group-classes-drop-last-vector": (
+        ringline.oracle, "_vectors", lambda d: _vectors(d)[:-1], "group",
+    ),
 }
 
 # the exact claim each of these rows produces at d=6
@@ -716,6 +735,11 @@ PLANTED_CLAIMS = {
     "cyclic-submodule-drops-zero": "perp-set of admissible vector differs from its orbit",
     "is-unit-negated": "neighbour graph differs from the point pairs sharing a non-zero vector",
     "is-perp-always-true": "commutes differs from the four-fold product",
+    "commutator-sign-flipped": "four-fold product differs from the closed-form commutator",
+    "point-count-formula-plus-one": "point count through vector differs from formula",
+    "unit-count-plus-one":
+        "number of admissible vectors differs from line size times unit count",
+    "group-classes-drop-last-vector": "number of class pairs differs from d^4",
 }
 
 
@@ -756,7 +780,8 @@ def test_planted_fault_reports_its_claim_at_d6(plant, fault):
 @pytest.mark.parametrize(
     "fault",
     ["generator-takes-largest-lift", "cyclic-submodule-drops-zero", "is-unit-negated",
-     "is-perp-always-true"],
+     "is-perp-always-true", "commutator-sign-flipped", "point-count-formula-plus-one",
+     "unit-count-plus-one", "group-classes-drop-last-vector"],
 )
 def test_planted_fault_reports_its_claim_at_d12(plant, capsys, fault):
     check = plant(fault)
@@ -789,6 +814,19 @@ def test_witness_construction_counts_its_pairs(plant, d, pairs):
         "claim": PLANTED_CLAIMS["perp-rows-stops-after-first-vector"],
         "expected": pairs,
         "actual": d * d,
+    }
+
+
+@pytest.mark.parametrize("d", [6, 12])
+def test_group_counts_its_class_pairs(plant, d):
+    # with one class missing no class commutes with all d^2 others, so the
+    # centre claim would fire too; the count comes first and names the cause
+    plant("group-classes-drop-last-vector")
+    (entry,) = verify_all(make_modulus(d), checks=["group"]).checks
+    assert entry.counterexample == {
+        "claim": PLANTED_CLAIMS["group-classes-drop-last-vector"],
+        "expected": d**4,
+        "actual": (d * d - 1) ** 2,
     }
 
 
