@@ -7,11 +7,16 @@ error.
 
 Each command computes its values once into one record, the JSON object README
 specifies, and hands it to ``_emit`` with two views derived from it: text
-lines and CSV rows.  The views are functions, so only the requested format is
-ever rendered; JSON is the record itself, with library objects serialized
-through their ``to_json_dict``.  ``_json`` writes it byte for byte as
-``json.dumps(record, indent=2)`` would, in one pass that formats each list of
-int pairs at once instead of encoding it int by int.
+lines and CSV rows.  The views are functions returning iterables, so only the
+requested format is ever rendered; JSON is the record itself, with library
+objects serialized through their ``to_json_dict``.  ``_json`` yields it byte
+for byte as ``json.dumps(record, indent=2)`` would, formatting each list of
+int pairs a batch at a time instead of encoding it int by int.
+
+Output is streamed: ``_emit`` writes each format to stdout in pieces of
+bounded size (JSON pieces, CSV rows, text lines joined ``_CHUNK`` characters at
+a time), so no request holds its whole rendering.  A reader may close the pipe
+early; the command then stops writing and still returns its own exit code.
 
 Each command imports the layers it uses when it runs, so a request loads only
 those: ``factor`` needs ``ring`` alone.
@@ -25,10 +30,10 @@ wrapper installed on either takes effect.
 from __future__ import annotations
 
 import argparse
-import io
+import os
 import sys
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .ring import make_modulus, unit_count
 
@@ -39,6 +44,11 @@ if TYPE_CHECKING:
 # oracle.CHECK_NAMES (a test keeps the two equal), spelled out so that building
 # the parser does not import the oracle and every layer below it.
 _CHECK_NAMES = "group,theorem1,theorem2,witness_construction"
+
+# Output piece sizes: int pairs per %-format in _json, and characters of joined
+# text lines per write in _emit.  Each keeps a piece to tens of kilobytes.
+_PAIR_BATCH = 2048
+_CHUNK = 1 << 16
 
 # One row per subcommand, dispatched to cmd_<name>: its help, the integer
 # arguments after d, its options as argparse keyword dicts, and its output
@@ -89,54 +99,102 @@ def _point_line(p: Point, d: int) -> str:
     return f"point {p.label(d)} = {_vecs(sorted(p.members))}"
 
 
-def _json(value: Any, indent: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, default=lambda o: o.to_json_dict())``
-    writes it, nested at ``indent`` (a newline and the enclosing spaces).
+def _int_pairs(items: Sequence[Any]) -> tuple[int, ...] | None:
+    """The ints of ``items`` in order, if every item is a list or tuple of two exact ints."""
+    if set(map(type, items)) <= {list, tuple} and set(map(len, items)) == {2}:
+        flat = tuple(chain.from_iterable(items))
+        if set(map(type, flat)) == {int}:
+            return flat
+    return None
+
+
+def _json(value: Any, indent: str) -> Iterator[str]:
+    """The pieces of ``value`` as ``json.dumps(value, indent=2, default=lambda o:
+    o.to_json_dict())`` writes it, nested at ``indent`` (a newline and the
+    enclosing spaces).
 
     Any ``indent`` makes the stdlib skip its C encoder (CPython 3.10-3.13) and
     walk every bracket and int in Python.  Here scalars and keys still go
     through ``json.dumps``, but a list of exact-int pairs (the member lists,
     and the graph's vertex and edge lists, nearly all of a large record) is
-    one %-format over a pair template."""
+    cut into batches of ``_PAIR_BATCH`` pairs, and each batch is one piece,
+    one %-format over a pair template.  A batch holding anything else is
+    written item by item, which gives the same bytes."""
     import json
 
-    if isinstance(value, (str, int, float)) or value is None:
-        return json.dumps(value)
     inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # json writes an int, float, bool or None key as its JSON text, quoted
-        return "{" + ",".join(
-            f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
-            for k, v in value.items()) + indent + "}"
-    if not isinstance(value, (list, tuple)):
-        return _json(value.to_json_dict(), indent)
-    if not value:
-        return "[]"
-    if set(map(type, value)) <= {list, tuple} and set(map(len, value)) == {2}:
-        flat = tuple(chain.from_iterable(value))
-        if set(map(type, flat)) == {int}:
-            pair = f"{inner}[{inner}  %d,{inner}  %d{inner}]"
-            return "[" + ",".join([pair] * len(value)) % flat + indent + "]"
-    return "[" + ",".join(inner + _json(v, inner) for v in value) + indent + "]"
-
-
-def _emit(fmt: str, record: Any, text: Callable[[], list[str]],
-          rows: Callable[[], list[Sequence[Any]]] | None = None) -> None:
-    """Print one command's output in the requested format; CSV rows start with the header
-    and JSON is ``_json``'s, the bytes of ``json.dumps(record, indent=2)``."""
-    if fmt == "json":
-        out = _json(record, "\n") + "\n"
-    elif fmt == "csv" and rows is not None:
-        import csv
-
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([_cell(c) for c in r] for r in rows())
-        out = buf.getvalue()
+    if isinstance(value, (str, int, float)) or value is None:
+        yield json.dumps(value)
+    elif not isinstance(value, (dict, list, tuple)):
+        yield from _json(value.to_json_dict(), indent)
+    elif not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+    elif isinstance(value, dict):
+        sep = "{"
+        for k, v in value.items():
+            # json writes an int, float, bool or None key as its JSON text, quoted
+            yield f"{sep}{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+            yield from _json(v, inner)
+            sep = ","
+        yield indent + "}"
     else:
-        out = "\n".join(text()) + "\n"
-    sys.stdout.write(out)
+        pair = f"{inner}[{inner}  %d,{inner}  %d{inner}]"
+        sep = "["
+        for start in range(0, len(value), _PAIR_BATCH):
+            batch = value[start:start + _PAIR_BATCH]
+            flat = _int_pairs(batch)
+            if flat is not None:
+                yield sep + ",".join([pair] * len(batch)) % flat
+                sep = ","
+            else:
+                for v in batch:
+                    yield sep + inner
+                    yield from _json(v, inner)
+                    sep = ","
+        yield indent + "]"
+
+
+def _chunks(lines: Iterable[str]) -> Iterator[str]:
+    """``lines``, each ended by a newline, joined into pieces of at least ``_CHUNK``
+    characters (the last piece may be shorter)."""
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= _CHUNK:
+            chunk.append("")
+            yield "\n".join(chunk)
+            chunk, size = [], 0
+    if chunk:
+        chunk.append("")
+        yield "\n".join(chunk)
+
+
+def _emit(fmt: str, record: Any, text: Callable[[], Iterable[str]],
+          rows: Callable[[], Iterable[Sequence[Any]]] | None = None) -> None:
+    """Write one command's output to stdout in the requested format, piece by
+    piece: JSON as ``_json``'s pieces, the bytes of ``json.dumps(record,
+    indent=2)``; CSV row by row, the header first; text as ``_chunks`` of its
+    lines.  If the reader closes the pipe, the rest is dropped and stdout is
+    pointed at ``os.devnull``, so that the interpreter's final flush raises
+    nothing and the command keeps its own exit code."""
+    out = sys.stdout
+    try:
+        if fmt == "json":
+            out.writelines(_json(record, "\n"))
+            out.write("\n")
+        elif fmt == "csv" and rows is not None:
+            import csv
+
+            csv.writer(out, lineterminator="\n").writerows([_cell(c) for c in r] for r in rows())
+        else:
+            out.writelines(_chunks(text()))
+        out.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
 
 
 def cmd_factor(args: argparse.Namespace, m: Modulus) -> int:
@@ -167,13 +225,13 @@ def cmd_perp(args: argparse.Namespace, m: Modulus) -> int:
               "points_count": n_points, "points_count_formula": count_formula,
               "points": points, "union_equals_perp": union_ok}
     _emit(args.format, record,
-          lambda: [*_kv(("d", m.d), ("vector", v), ("perp_size", ps.size),
-                        ("perp_size_formula", size_formula),
-                        ("members", _vecs(sorted(ps.members))),
-                        ("points_containing", n_points), ("points_formula", count_formula)),
-                   *(_point_line(p, m.d) for p in points or ()),
-                   *_kv(("union_equals_perp", union_ok))],
-          lambda: [("b", "c"), *sorted(ps.members)])
+          lambda: chain(_kv(("d", m.d), ("vector", v), ("perp_size", ps.size),
+                            ("perp_size_formula", size_formula),
+                            ("members", _vecs(sorted(ps.members))),
+                            ("points_containing", n_points), ("points_formula", count_formula)),
+                        (_point_line(p, m.d) for p in points or ()),
+                        _kv(("union_equals_perp", union_ok))),
+          lambda: chain([("b", "c")], sorted(ps.members)))
     agree = union_ok and size_formula == ps.size and count_formula == n_points
     return 1 if m.square_free and not agree else 0
 
@@ -184,11 +242,11 @@ def cmd_points(args: argparse.Namespace, m: Modulus) -> int:
     pts = projline.enumerate_points(m)
     formula = projline.line_size_formula(m)
     _emit(args.format, {"d": m.d, "count": len(pts), "count_formula": formula, "points": pts},
-          lambda: [*_kv(("d", m.d), ("points", len(pts)), ("points_formula", formula)),
-                   *(_point_line(p, m.d) for p in pts)],
-          lambda: [("generator_b", "generator_c", "members"),
-                   *((*p.generator, " ".join(f"{b}:{c}" for b, c in sorted(p.members)))
-                     for p in pts)])
+          lambda: chain(_kv(("d", m.d), ("points", len(pts)), ("points_formula", formula)),
+                        (_point_line(p, m.d) for p in pts)),
+          lambda: chain([("generator_b", "generator_c", "members")],
+                        ((*p.generator, " ".join(f"{b}:{c}" for b, c in sorted(p.members)))
+                         for p in pts)))
     return 0
 
 
@@ -249,7 +307,7 @@ def cmd_graph(args: argparse.Namespace, m: Modulus) -> int:
     from . import projline
 
     graph = projline.neighbour_graph(m)
-    _emit(args.format, graph, lambda: [graph.to_dot()])
+    _emit(args.format, graph, graph.dot_lines)
     return 0
 
 

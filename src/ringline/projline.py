@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from _thread import allocate_lock
 from functools import lru_cache
-from typing import Any
+from typing import Any, Iterator
 
 from . import symplectic
 from .ring import Modulus, Record, is_unit
@@ -240,23 +240,31 @@ class NeighbourGraph(Record):
             "edges": [list(e) for e in self.edges],
         }
 
-    def to_dot(self) -> str:
-        lines = [f"graph line_d{self.d} {{"]
+    def dot_lines(self) -> Iterator[str]:
+        """The lines of ``to_dot``, one at a time, without their newlines."""
+        yield f"graph line_d{self.d} {{"
         for i, p in enumerate(self.vertices):
-            lines.append(f'  v{i} [label="{p.label(self.d)}"];')
+            yield f'  v{i} [label="{p.label(self.d)}"];'
         for i, j in self.edges:
-            lines.append(f"  v{i} -- v{j};")
-        lines.append("}")
-        return "\n".join(lines)
+            yield f"  v{i} -- v{j};"
+        yield "}"
+
+    def to_dot(self) -> str:
+        return "\n".join(self.dot_lines())
 
 
 def neighbour_graph(m: Modulus) -> NeighbourGraph:
-    """Build the neighbour graph of the line; over a field it is edgeless."""
+    """Build the neighbour graph of the line; over a field it is edgeless.
+
+    The edges take their ends from one list of vertex indices, so the edges
+    at a vertex share one int object instead of each holding a copy (the
+    interpreter caches only the ints up to 256)."""
     pts = tuple(enumerate_points(m))
+    index = list(range(len(pts)))
     edges = tuple(
         (i, j)
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
+        for i in index
+        for j in index[i + 1:]
         if not is_distant(pts[i], pts[j], m)
     )
     return NeighbourGraph(m.d, pts, edges)

@@ -7,9 +7,13 @@ budget).
 """
 
 import json
+import os
 import time
 import tracemalloc
+from contextlib import redirect_stdout
 from itertools import product
+
+import pytest
 
 import ringline.projline
 import ringline.symplectic
@@ -279,3 +283,25 @@ def test_criterion_15_points_json_at_d210(capsys):
     assert same, "stdout differs from json.dumps(record, indent=2)"
     assert best < 0.2, f"took {best:.3f} s"
     print(f"PASS criterion 15: points 210 --format json, {len(out)} bytes, {best:.3f} s")
+
+
+@pytest.mark.parametrize("argv, ceiling_mib", [
+    ("graph 210 --format json", 28),
+    ("graph 210 --format dot", 20),
+    ("points 210 --format json", 12),
+])
+def test_criterion_16_heavy_outputs_are_streamed(argv, ceiling_mib):
+    # cold, like criterion 14: the peak holds the points and the graph, but
+    # not the 1.7-6 MB rendering or a copy of it, which go out in pieces
+    ringline.projline._points_cached.cache_clear()
+    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            code = main(argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            ringline.projline._points_cached.cache_clear()
+    assert code == 0
+    assert peak < ceiling_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    print(f"PASS criterion 16: {argv}, peak {peak / 2**20:.1f} MiB")

@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,7 @@ from ringline.cli import main
 from ringline.ring import make_modulus
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # argv -> exact stdout and exit code: every command in every format at
 # d in {6, 7, 12}, plus --pretty, --matrix, --brute, --checks, usage errors and
 # the help screens
@@ -492,7 +496,7 @@ def test_json_output_is_json_dumps_with_indent_2(monkeypatch, capsys, argv):
     {"checks": [{"elapsed": 0.0012, "counterexample": None}], "all_passed": False},
 ])
 def test_json_writer_matches_json_dumps_on_crafted_values(value):
-    assert cli._json(value, "\n") == _dumps(value)
+    assert "".join(cli._json(value, "\n")) == _dumps(value)
 
 
 def test_json_writer_reaches_library_objects_inside_containers():
@@ -500,4 +504,81 @@ def test_json_writer_reaches_library_objects_inside_containers():
     value = {"perp": [symplectic.perp_set((2, 4), m)],
              "points": projline.points_containing((6, 0), m),
              "graph": (projline.neighbour_graph(make_modulus(4)),), "modulus": m}
-    assert cli._json(value, "\n") == _dumps(value)
+    assert "".join(cli._json(value, "\n")) == _dumps(value)
+
+
+_BATCH = cli._PAIR_BATCH
+
+
+def _two_batches_with_a_bool_pair():
+    value = [[i, i + 1] for i in range(2 * _BATCH)]
+    value[_BATCH + 5] = [True, 1]  # json writes true, %d would write 1
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    [[i, -i] for i in range(_BATCH)],
+    [(i, 2**40 + i) for i in range(_BATCH + 1)],
+    _two_batches_with_a_bool_pair(),
+], ids=["one-batch", "one-batch-and-one", "bool-pair-in-second-batch"])
+def test_json_writer_formats_int_pairs_in_bounded_batches(value):
+    pieces = list(cli._json(value, "\n"))
+    assert "".join(pieces) == _dumps(value)
+    # every pair closes one bracket, so no piece holds more than one batch
+    assert max(piece.count("]") for piece in pieces) == _BATCH
+
+
+@pytest.mark.parametrize("sizes", [[], [0], [5, 7], [cli._CHUNK - 1, 0, 3], [cli._CHUNK] * 3,
+                                   [10] * (2 * cli._CHUNK // 10 + 1)])
+def test_chunks_join_lines_in_pieces_of_bounded_size(sizes):
+    lines = ["x" * n for n in sizes]
+    pieces = list(cli._chunks(lines))
+    assert "".join(pieces) == "".join(line + "\n" for line in lines)
+    longest = max(sizes, default=0)
+    assert all(cli._CHUNK <= len(p) - p.count("\n") < cli._CHUNK + longest for p in pieces[:-1])
+
+
+def _points_text(d):
+    pts = projline.enumerate_points(make_modulus(d))
+    lines = [f"d = {d}", f"points = {len(pts)}", f"points_formula = {len(pts)}"]
+    lines += [f"point {p.label(d)} = " + " ".join(f"({b},{c})" for b, c in sorted(p.members))
+              for p in pts]
+    return "\n".join(lines) + "\n"
+
+
+def _points_csv(d):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["generator_b", "generator_c", "members"])
+    for p in projline.enumerate_points(make_modulus(d)):
+        writer.writerow([*p.generator, " ".join(f"{b}:{c}" for b, c in sorted(p.members))])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("d", [105, 210])
+@pytest.mark.parametrize("argv, reference", [
+    ("points {d}", _points_text),
+    ("points {d} --format csv", _points_csv),
+    ("graph {d}", lambda d: projline.neighbour_graph(make_modulus(d)).to_dot() + "\n"),
+], ids=["text", "csv", "dot"])
+def test_streamed_output_equals_the_joined_rendering(capsys, argv, reference, d):
+    code, out, _ = run(capsys, *argv.format(d=d).split())
+    expected = reference(d)
+    assert code == 0
+    assert out == expected, _first_difference(out, expected)
+
+
+@pytest.mark.parametrize("argv", ["graph 105 --format json", "graph 105 --format dot",
+                                  "points 105"])
+def test_a_reader_may_close_the_pipe_early(argv):
+    # each output is larger than a 64 KB pipe buffer, so the command is still
+    # writing when the reader goes away
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "ringline", *argv.split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert len(head) == 100
+    assert (proc.returncode, err.decode()) == (0, "")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import ringline
 import ringline.cli
 import ringline.oracle
 import ringline.pauli
@@ -420,6 +421,16 @@ def _swapped_idempotents(d):
     return Modulus(m.d, m.factors, m.primes, m.square_free, m.idempotents[::-1])
 
 
+def _modulus_dropping_last_prime(d):
+    m = make_modulus(d)
+    return Modulus(m.d, m.factors, m.primes[:-1], m.square_free, m.idempotents)
+
+
+def _modulus_dropping_last_factor(d):
+    m = make_modulus(d)
+    return Modulus(m.d, m.factors[:-1], m.primes, m.square_free, m.idempotents)
+
+
 _points_containing = ringline.projline.points_containing
 
 
@@ -598,6 +609,12 @@ PLANTED_FAULTS = {
     "idempotents-swapped": (
         ringline.cli, "make_modulus", _swapped_idempotents, "witness_construction",
     ),
+    "modulus-drops-last-prime": (
+        ringline.cli, "make_modulus", _modulus_dropping_last_prime, "theorem2",
+    ),
+    "modulus-drops-last-factor": (
+        ringline.cli, "make_modulus", _modulus_dropping_last_factor, "theorem1",
+    ),
     "points-containing-drops-last-match": (
         ringline.projline, "points_containing", lambda v, m: _points_containing(v, m)[:-1],
         "theorem2",
@@ -742,6 +759,48 @@ PLANTED_CLAIMS = {
     "group-classes-drop-last-vector": "number of class pairs differs from d^4",
 }
 
+# public callables that no PLANTED_FAULTS row patches, each with the reason
+FAULT_EXEMPTIONS = {
+    ("ring", "Modulus"): "value class; make_modulus fills it, and its rows corrupt the fields",
+    ("symplectic", "PerpSet"): "value class; perp_set builds it, and its rows corrupt it",
+    ("symplectic", "Vector2"): "type alias for tuple[int, int]; it runs no code of its own",
+    ("projline", "Point"): "value class; point_through and enumerate_points build it, with rows",
+    ("projline", "NeighbourGraph"): "value class; neighbour_graph builds it, and has rows",
+    ("pauli", "PauliOp"): "value class of exponents; the multiply and inverse rows reach it",
+    ("pauli", "format_pauli"): "renders only; its output is pinned by the golden files",
+}
+
+
+def _public_callables():
+    """(module, name, object) of every public callable that ``verify`` answers for."""
+    for module in ("ring", "symplectic", "projline", "pauli"):
+        for name in ringline._EXPORTS[module]:
+            value = getattr(getattr(ringline, module), name)
+            if callable(value):
+                yield module, name, value
+    yield "oracle", "construct_witness", ringline.oracle.construct_witness
+
+
+def _has_a_planted_row(value):
+    # a row covers the object it replaces, so a row on another module's binding
+    # of the same function counts (projline.is_unit is ring.is_unit, and
+    # cli.make_modulus is ring.make_modulus), and so does a row on a method
+    return any(value is getattr(target, attribute) or value is target
+               for target, attribute, _, _ in PLANTED_FAULTS.values())
+
+
+def test_every_public_callable_has_a_planted_fault_or_an_exemption():
+    uncovered = [(module, name) for module, name, value in _public_callables()
+                 if not _has_a_planted_row(value) and (module, name) not in FAULT_EXEMPTIONS]
+    assert uncovered == []
+
+
+def test_fault_exemptions_name_only_public_callables_without_a_row():
+    rowless = {(module, name) for module, name, value in _public_callables()
+               if not _has_a_planted_row(value)}
+    assert set(FAULT_EXEMPTIONS) <= rowless
+    assert all(reason for reason in FAULT_EXEMPTIONS.values())
+
 
 @pytest.fixture
 def plant(monkeypatch):
@@ -789,6 +848,20 @@ def test_planted_fault_reports_its_claim_at_d12(plant, capsys, fault):
     out = capsys.readouterr().out
     assert f"FAIL {check}" in out
     assert PLANTED_CLAIMS[fault] in out
+
+
+@pytest.mark.parametrize("d", [6, 12])
+@pytest.mark.parametrize("fault, claim", [
+    ("modulus-drops-last-prime", "is_admissible differs from an empty index set K"),
+    ("modulus-drops-last-factor", "number of points differs from the line size formula"),
+])
+def test_make_modulus_faults_report_their_claim(plant, capsys, fault, claim, d):
+    # the rows patch the CLI's make_modulus, so only main builds the faulty modulus
+    check = plant(fault)
+    assert ringline.cli.main(["verify", str(d), "--checks", check]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {check}" in out
+    assert claim in out
 
 
 @pytest.mark.parametrize("d", [6, 12, 36])
