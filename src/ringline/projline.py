@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from _thread import allocate_lock
 from functools import lru_cache
 from typing import Any, Iterator
 
@@ -84,24 +83,20 @@ def point_through(v: Vector2, m: Modulus) -> Point:
     return Point(_generator(g, c * pow(b // g, -1, d // g), d), cyclic_submodule(v, m))
 
 
-# Held while a slot changes from generator to point, so each slot changes once
-# and the list ``enumerate_points`` caches holds the objects the rows hold.
-# (``_thread``: the lock needs nothing more, and ``threading`` costs an import.)
-_filling = allocate_lock()
-
-
 @lru_cache(maxsize=8)
 def _points_cached(
     m: Modulus,
-) -> tuple[list[Point], list[tuple[int, list]], list[tuple[int, int, list]]]:
+) -> tuple[list[Point], dict[Vector2, Point], list[tuple[int, list]], list[tuple[int, int, list]]]:
     # The lex-least admissible member of Z_d*(b, c), a unit multiple, lies in
     # row g = gcd(b, d), keyed d for row 0.  Row g has one point per residue
     # r mod d/g with gcd(r, g, d/g) = 1, generated by ``_generator(g, r, d)``,
-    # and is a length-d list whose slot c holds the point generated by
-    # (g mod d, c), or None if that is no canonical generator.  No member set
-    # is built here: a slot holds its generator as a placeholder until
-    # ``points_containing`` or ``enumerate_points`` first needs the point, and
-    # the first list stays empty until ``enumerate_points`` fills it.
+    # and is a length-d list whose slot c holds the generator (g mod d, c) of
+    # its point, or None if that is no canonical generator.  The rows are
+    # never written after this.  No member set is built here: ``built`` maps
+    # a generator to its point once ``points_containing`` or
+    # ``enumerate_points`` first needs it, and the list stays empty until
+    # ``enumerate_points`` fills it.  ``dict.setdefault`` with a tuple-of-ints
+    # key runs no Python code, so every caller gets the first point stored.
     # The row table, read by ``points_containing``, has one entry per b:
     # (h, (b/h)^-1 mod d/h, the rows g | h in enumeration order) with
     # h = gcd(b, d), since only those rows can hold a vector (b, c).
@@ -109,14 +104,14 @@ def _points_cached(
     rows: list[tuple[int, list]] = []
     for g in [d, *(g for g in range(1, d) if d % g == 0)]:
         n = d // g
-        row: list[Point | Vector2 | None] = [None] * d
+        row: list[Vector2 | None] = [None] * d
         for gen in (_generator(g, r, d) for r in range(n) if math.gcd(r, g, n) == 1):
             row[gen[1]] = gen
         rows.append((g, row))
     dividing = {h: [(g, row) for g, row in rows if h % g == 0] for h, _ in rows}
     table = [(h, pow(b // h, -1, d // h), dividing[h])
              for b in range(d) for h in [math.gcd(b, d)]]
-    return [], rows, table
+    return [], {}, rows, table
 
 
 def enumerate_points(m: Modulus) -> list[Point]:
@@ -124,27 +119,21 @@ def enumerate_points(m: Modulus) -> list[Point]:
 
     Works for any d > 1, and there are ``line_size_formula(m)`` of them.  The
     first call builds, in one pass, every point no ``points_containing`` query
-    has built yet.  Their members are drawn from one table of Z_d^2, so a
-    vector on several of them is one tuple, and each set is copied from a set,
-    which sizes its hash table for its final length.  Every later call, and
-    every query, returns the same objects.
+    has built yet, and keeps it by generator as a query does.  Their members
+    are drawn from one table of Z_d^2, so a vector on several of them is one
+    tuple, and each set is copied from a set, which sizes its hash table for
+    its final length.  Every later call, and every query, returns the same
+    objects.
     """
-    points, rows, _ = _points_cached(m)
-    with _filling:
-        if not points:
-            d = m.d
-            vectors = [(b, c) for b in range(d) for c in range(d)]
-            built = []
-            for _, row in rows:
-                for c, p in enumerate(row):
-                    if p.__class__ is tuple:
-                        g = p[0]
-                        p = row[c] = Point(p, frozenset(
-                            {vectors[(u * g % d) * d + u * c % d] for u in range(d)}))
-                    if p is not None:
-                        built.append(p)
-            # assigned whole, so an interrupted build leaves the list empty
-            points[:] = built
+    points, built, rows, _ = _points_cached(m)
+    if not points:
+        d = m.d
+        vectors = [(b, c) for b in range(d) for c in range(d)]
+        # assigned whole, so an interrupted build leaves the list empty
+        points[:] = [
+            built.get(gen) or built.setdefault(gen, Point(gen, frozenset(
+                {vectors[(u * g % d) * d + u * c % d] for u in range(d)})))
+            for g, row in rows for c, gen in enumerate(row) if gen is not None]
     return list(points)
 
 
@@ -187,26 +176,19 @@ def points_containing(v: Vector2, m: Modulus) -> list[Point]:
     with h = gcd(b, d), only rows g | h can hold v, a row has solutions iff
     h | c*g, and they are x = (c*g/h) * (b/h)^-1 mod d/h plus multiples of d/h.
     A query reads the tau(h) rows g | h, h slots of each, from the row table
-    built with the generators, and reads no member set.  A slot whose point is
-    not built yet is filled on first use with ``point_through`` of its
+    built with the generators, and reads no member set.  A point not built
+    yet is built with ``point_through`` of its generator and kept by
     generator, so a cold query builds only the points it returns, and
     ``enumerate_points`` later returns those same objects.
     """
     d = m.d
     b, c = v[0] % d, v[1] % d
-    h, inverse, rows = _points_cached(m)[2][b]
+    _, built, _, table = _points_cached(m)
+    h, inverse, rows = table[b]
     n = d // h
-    return [p if p.__class__ is Point else _fill(row, p, m)
+    return [built.get(gen) or built.setdefault(gen, point_through(gen, m))
             for g, row in rows if c * g % h == 0
-            for p in row[c * g // h * inverse % n::n] if p is not None]
-
-
-def _fill(row: list, generator: Vector2, m: Modulus) -> Point:
-    point = point_through(generator, m)
-    with _filling:
-        if row[generator[1]].__class__ is not Point:
-            row[generator[1]] = point
-        return row[generator[1]]
+            for gen in row[c * g // h * inverse % n::n] if gen is not None]
 
 
 def perp_as_point_union(v: Vector2, m: Modulus) -> frozenset[Vector2]:

@@ -392,15 +392,17 @@ def test_theorem1_catches_a_dropped_or_duplicated_point(monkeypatch, d, fault):
     # fault: the enumeration loses its last point, or lists it twice; the rows
     # lose the dropped point's slot, and have one slot for the duplicate
     points = ringline.projline.enumerate_points(make_modulus(d))
-    _, rows, table = ringline.projline._points_cached(make_modulus(d))
+    _, built, rows, table = ringline.projline._points_cached(make_modulus(d))
     last = points[-1]
     if fault == "drop":
         def strip(rows):
-            return [(g, [None if p is last else p for p in row]) for g, row in rows]
+            return [(g, [None if gen == last.generator else gen for gen in row])
+                    for g, row in rows]
 
-        planted = points[:-1], strip(rows), [(h, inverse, strip(rs)) for h, inverse, rs in table]
+        planted = (points[:-1], built, strip(rows),
+                   [(h, inverse, strip(rs)) for h, inverse, rs in table])
     else:
-        planted = points + [last], rows, table
+        planted = points + [last], built, rows, table
     monkeypatch.setattr(ringline.projline, "_points_cached", lambda m: planted)
     entry = verify_theorem1(make_modulus(d))
     assert entry.status == "fail"
@@ -527,8 +529,8 @@ _points_cached = ringline.projline._points_cached
 
 def _row_table_dropping_last_rows(m):
     # every b's entry of the row table loses its last row
-    points, rows, table = _points_cached(m)
-    return points, rows, [(h, inverse, rs[:-1]) for h, inverse, rs in table]
+    points, built, rows, table = _points_cached(m)
+    return points, built, rows, [(h, inverse, rs[:-1]) for h, inverse, rs in table]
 
 
 _enumerate_points = ringline.projline.enumerate_points
@@ -537,13 +539,12 @@ _enumerate_points = ringline.projline.enumerate_points
 def _bulk_build_dropping_a_member(m):
     # the last point the bulk build makes loses its largest member; points
     # already built by a query, through point_through, stay whole
-    points, rows, _ = _points_cached(m)
-    unbuilt = [(row, p[1]) for _, row in rows for p in row if p.__class__ is tuple]
+    points, built, rows, _ = _points_cached(m)
+    unbuilt = [gen for _, row in rows for gen in row if gen is not None and gen not in built]
     _enumerate_points(m)
     if unbuilt:
-        row, c = unbuilt[-1]
-        whole = row[c]
-        row[c] = points[points.index(whole)] = ringline.projline.Point(
+        whole = built[unbuilt[-1]]
+        built[whole.generator] = points[points.index(whole)] = ringline.projline.Point(
             whole.generator, whole.members - {max(whole.members)})
     return list(points)
 

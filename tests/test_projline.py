@@ -241,7 +241,15 @@ def test_point_rows_match_the_orbit_marking_scan():
     for d in [*range(2, 151), 210, 330, 360, 1024, 2310, 3600]:
         m = make_modulus(d)
         projline._points_cached.cache_clear()
-        assert projline._points_cached(m)[1] == _reference_rows(m), d
+        assert projline._points_cached(m)[2] == _reference_rows(m), d
+    # the rows hold generators only: building points, by a query and then in
+    # bulk, leaves them as they were built
+    for d in [12, 30, 36, 210]:
+        m = make_modulus(d)
+        projline._points_cached.cache_clear()
+        points_containing((1, 2), m)
+        enumerate_points(m)
+        assert projline._points_cached(m)[2] == _reference_rows(m), d
 
 
 def test_point_count_is_dedekind_psi_for_every_d():
@@ -279,8 +287,7 @@ def test_points_share_one_tuple_per_vector(d):
 
 def _built(m):
     # the points in the cache whose member sets exist
-    _, rows, _ = projline._points_cached(m)
-    return [p for _, row in rows for p in row if isinstance(p, Point)]
+    return list(projline._points_cached(m)[1].values())
 
 
 @pytest.mark.parametrize("d", [12, 30, 36])
@@ -340,7 +347,40 @@ def test_concurrent_callers_fill_each_slot_once(seed):
     assert len(pts) == line_size_formula(m)
     ids = {id(p) for p in pts}
     assert all(id(p) in ids for result in results for p in result)
-    assert [id(p) for p in _built(m)] == [id(p) for p in pts]
+    built = projline._points_cached(m)[1]
+    assert [id(built[p.generator]) for p in pts] == [id(p) for p in pts]
+    assert len(built) == len(pts)
+
+
+def test_threads_that_race_for_one_cold_point_get_one_object():
+    # every thread queries the same vector on a cold line, so all of them
+    # race to build the same point; each must get the object kept for it
+    m = make_modulus(60)
+    v = (7, 12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            projline._points_cached.cache_clear()
+            projline._points_cached(m)
+            start = threading.Barrier(6)
+            results = [None] * 6
+
+            def work(i):
+                start.wait()
+                results[i] = points_containing(v, m)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            [point] = results[0]
+            assert all(len(r) == 1 and r[0] is point for r in results)
+            assert next(p for p in enumerate_points(m) if p.generator == point.generator) is point
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_point_count_formula_up_to_105():
