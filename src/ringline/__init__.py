@@ -6,10 +6,12 @@ operators are exponent triples, and the independent operator model is a
 generalized permutation matrix whose entries are roots of unity encoded by
 exponent.  All values are immutable; every operation is a pure function, safe
 to call from any number of concurrent workers.  The one cache, the points of
-recent lines, builds each point on first use and keeps the first one built,
-so concurrent callers get equal points, though not always the same objects.
+recent lines, builds every point of a line together from its generator, so
+concurrent callers get equal points, though not always the same objects.
 Two callers get different objects only when each builds the line itself: both
-find it missing from the cache at once, or it was evicted between them.
+find it missing from the cache at once, or it was evicted between them.  A
+point makes its member set on first read and keeps it; two threads reading it
+first at once get equal sets.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ for byte as ``json.dumps(record, indent=2)`` would, formatting each list of
 int pairs a batch at a time instead of encoding it int by int.
 
 Output is streamed: ``_emit`` writes each format to stdout in pieces of
-bounded size (JSON pieces, CSV rows, text lines joined ``_CHUNK`` characters at
-a time), so no request holds its whole rendering.  A reader may close the pipe
+bounded size (JSON pieces, CSV rows, text lines joined, and long lines cut, at
+most ``_CHUNK`` characters at a time), so no request holds its whole
+rendering.  A point's members are read off its generator in sorted order, so
+no writer builds or sorts a point's member set.  A reader may close the pipe
 early; the command then stops writing and still returns its own exit code.
 
 Each command imports the layers it uses when it runs, so a request loads only
@@ -32,7 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .ring import make_modulus, unit_count
@@ -45,8 +47,9 @@ if TYPE_CHECKING:
 # the parser does not import the oracle and every layer below it.
 _CHECK_NAMES = "group,theorem1,theorem2,witness_construction"
 
-# Output piece sizes: int pairs per %-format in _json, and characters of joined
-# text lines per write in _emit.  Each keeps a piece to tens of kilobytes.
+# Output piece sizes: int pairs per %-format in _json and per piece of a
+# vector list in text, and characters of text per write in _emit.  Each keeps
+# a piece to tens of kilobytes.
 _PAIR_BATCH = 2048
 _CHUNK = 1 << 16
 
@@ -91,12 +94,18 @@ def _one_row(record: dict[str, Any], *keys: str) -> list[Sequence[Any]]:
     return [keys, [record[k] for k in keys]]
 
 
-def _vecs(vectors: Iterable[tuple[int, int]]) -> str:
-    return " ".join(f"({b},{c})" for b, c in vectors)
+def _vecs(vectors: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """The vectors as ``(b,c)`` separated by spaces, ``_PAIR_BATCH`` vectors a piece."""
+    vectors = iter(vectors)
+    sep = ""
+    while batch := list(islice(vectors, _PAIR_BATCH)):
+        yield sep + " ".join([f"({b},{c})" for b, c in batch])
+        sep = " "
 
 
-def _point_line(p: Point, d: int) -> str:
-    return f"point {p.label(d)} = {_vecs(sorted(p.members))}"
+def _point_line(p: Point, d: int) -> Iterator[str]:
+    """The text line of a point, in pieces, its members in sorted order."""
+    return chain([f"point {p.label(d)} = "], _vecs(p.sorted_members()))
 
 
 def _int_pairs(items: Sequence[Any]) -> tuple[int, ...] | None:
@@ -154,21 +163,24 @@ def _json(value: Any, indent: str) -> Iterator[str]:
         yield indent + "]"
 
 
-def _chunks(lines: Iterable[str]) -> Iterator[str]:
-    """``lines``, each ended by a newline, joined into pieces of at least ``_CHUNK``
-    characters (the last piece may be shorter)."""
+def _chunks(lines: Iterable[str | Iterable[str]]) -> Iterator[str]:
+    """``lines``, each ended by a newline, joined into pieces of at most
+    ``_CHUNK`` characters.  A line is a string, or an iterable of the strings
+    it joins, so a long line is cut between them; only a string of ``_CHUNK``
+    characters or more makes a longer piece, alone with its newline."""
     chunk: list[str] = []
     size = 0
     for line in lines:
-        chunk.append(line)
-        size += len(line)
-        if size >= _CHUNK:
-            chunk.append("")
-            yield "\n".join(chunk)
-            chunk, size = [], 0
+        for part in (line,) if isinstance(line, str) else line:
+            if chunk and size + len(part) >= _CHUNK:
+                yield "".join(chunk)
+                chunk, size = [], 0
+            chunk.append(part)
+            size += len(part)
+        chunk.append("\n")
+        size += 1
     if chunk:
-        chunk.append("")
-        yield "\n".join(chunk)
+        yield "".join(chunk)
 
 
 def _emit(fmt: str, record: Any, text: Callable[[], Iterable[str]],
@@ -226,9 +238,9 @@ def cmd_perp(args: argparse.Namespace, m: Modulus) -> int:
               "points": points, "union_equals_perp": union_ok}
     _emit(args.format, record,
           lambda: chain(_kv(("d", m.d), ("vector", v), ("perp_size", ps.size),
-                            ("perp_size_formula", size_formula),
-                            ("members", _vecs(sorted(ps.members))),
-                            ("points_containing", n_points), ("points_formula", count_formula)),
+                            ("perp_size_formula", size_formula)),
+                        [chain(["members = "], _vecs(sorted(ps.members)))],
+                        _kv(("points_containing", n_points), ("points_formula", count_formula)),
                         (_point_line(p, m.d) for p in points or ()),
                         _kv(("union_equals_perp", union_ok))),
           lambda: chain([("b", "c")], sorted(ps.members)))
@@ -245,7 +257,7 @@ def cmd_points(args: argparse.Namespace, m: Modulus) -> int:
           lambda: chain(_kv(("d", m.d), ("points", len(pts)), ("points_formula", formula)),
                         (_point_line(p, m.d) for p in pts)),
           lambda: chain([("generator_b", "generator_c", "members")],
-                        ((*p.generator, " ".join(f"{b}:{c}" for b, c in sorted(p.members)))
+                        ((*p.generator, " ".join([f"{b}:{c}" for b, c in p.sorted_members()]))
                          for p in pts)))
     return 0
 

@@ -22,8 +22,9 @@ go through ``form``.  It also checks
 ``projline.points_containing`` lists together under a non-zero vector.
 ``theorem2`` queries the points through every vector and ``theorem1`` through
 every admissible one; ``points_containing`` answers each query from the point
-generators, never from their member sets.  Both first build every point with
-``projline.enumerate_points``, so the points they read are the bulk-built ones.
+generators, never from their member sets, and returns the points
+``projline.enumerate_points`` lists, which make their member sets from the
+closed form in their generators when first read.
 ``group`` checks ``pauli.commutes`` on every class pair against the four-fold
 product it computes there, and counts the d^4 pairs before it reads the centre
 off them.
@@ -124,10 +125,10 @@ def verify_theorem1(m: Modulus) -> CheckResult:
     ``line_size_formula`` * ``ring.unit_count``.  Any d.  Perp-sets are bit
     rows from ``symplectic.perp_rows``, compared with the rows of the point's
     members; the points through each vector come from
-    ``projline.points_containing``, after ``projline.enumerate_points`` has
-    built every point, so the points compared are the bulk-built ones.  The
-    enumeration and ``point_through`` share one generator rule, so only the
-    definition can catch a wrong one."""
+    ``projline.points_containing``, the enumerated points, whose members come
+    from the closed form in their generators, and are compared with
+    ``point_through``'s orbit.  The enumeration and ``point_through`` share
+    one generator rule, so only the definition can catch a wrong one."""
     d = m.d
 
     def body() -> Counterexample | None:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Any, Iterator
+from itertools import chain, repeat
+from typing import Any, Iterable, Iterator
 
 from . import symplectic
 from .ring import Modulus, Record, is_unit
@@ -31,7 +32,13 @@ def cyclic_submodule(v: Vector2, m: Modulus) -> frozenset[Vector2]:
     return frozenset(((u * v[0]) % d, (u * v[1]) % d) for u in range(d))
 
 
-class Point(Record):
+class _OnLine(Record):
+    # The slot in which a point of the line keeps d, outside the fields, so that
+    # its member set can be made from its generator when first read.
+    __slots__ = ("_d",)
+
+
+class Point(_OnLine):
     """A free cyclic submodule of Z_d^2 (a point of the line).
 
     ``generator`` is canonical: the lexicographically smallest admissible
@@ -39,9 +46,27 @@ class Point(Record):
     with member-set equality because Points are built only by
     ``point_through`` and by enumeration, and both take the generator from
     ``_generator``.
+
+    A point of the line, as ``enumerate_points`` and ``points_containing``
+    return it, is made from its generator alone: its ``members`` frozenset is
+    made from the closed form ``_members_in_order`` the first time it is read,
+    and kept.  Two threads reading it first at once each make one; the sets
+    are equal.
     """
 
     __slots__ = ("generator", "members")
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an unset slot: ``members`` of an unread point of the line
+        if name != "members":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        members = frozenset(_members_in_order(self.generator, self._d))
+        object.__setattr__(self, "members", members)
+        return members
+
+    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
+        d = getattr(self, "_d", None)
+        return (_line_point, (self.generator, d)) if d else super().__reduce__()
 
     def _key(self) -> Vector2:
         return self.generator
@@ -49,11 +74,41 @@ class Point(Record):
     def label(self, d: int) -> str:
         return f"Z{d}({self.generator[0]},{self.generator[1]})"
 
+    def sorted_members(self) -> Iterable[Vector2]:
+        """The members in sorted order.  A point of the line yields them from
+        the closed form and makes no set; any other point sorts its set."""
+        d = getattr(self, "_d", None)
+        return _members_in_order(self.generator, d) if d else sorted(self.members)
+
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "generator": list(self.generator),
-            "members": [list(w) for w in sorted(self.members)],
+            "members": [list(w) for w in self.sorted_members()],
         }
+
+
+def _line_point(generator: Vector2, d: int) -> Point:
+    """The point of the line over Z_d with this canonical generator, with no member set yet."""
+    p = object.__new__(Point)
+    object.__setattr__(p, "generator", generator)
+    object.__setattr__(p, "_d", d)
+    return p
+
+
+def _members_in_order(generator: Vector2, d: int) -> Iterator[Vector2]:
+    """The members of the point with canonical generator (g mod d, x), sorted.
+
+    With n = d/g, the multiples u*(g, x) with u = k (mod n) fill row k*g,
+    and since gcd(x, g) = 1 their second coordinates are the coset
+    k*x + nZ_d: the members are (k*g, (k*x mod n) + s*n) for k < n and
+    s < g, at any d (Havlicek & Saniga, J. Phys. A 41 (2008) 015302).  Row
+    0's point (0, 1) has g = d and n = 1.  Yielded row by row; nothing is
+    kept.
+    """
+    g = generator[0] or d
+    x = generator[1]
+    n = d // g
+    return chain.from_iterable(zip(repeat(k * g, g), range(k * x % n, d, n)) for k in range(n))
 
 
 def _generator(g: int, x: int, d: int) -> Vector2:
@@ -86,55 +141,46 @@ def point_through(v: Vector2, m: Modulus) -> Point:
 @lru_cache(maxsize=8)
 def _points_cached(
     m: Modulus,
-) -> tuple[list[Point], dict[Vector2, Point], list[tuple[int, list]], list[tuple[int, int, list]]]:
+) -> tuple[tuple[Point, ...], list[tuple[int, list]], list[tuple[int, int, list]]]:
     # The lex-least admissible member of Z_d*(b, c), a unit multiple, lies in
     # row g = gcd(b, d), keyed d for row 0.  Row g has one point per residue
     # r mod d/g with gcd(r, g, d/g) = 1, generated by ``_generator(g, r, d)``,
-    # and is a length-d list whose slot c holds the generator (g mod d, c) of
-    # its point, or None if that is no canonical generator.  The rows are
-    # never written after this.  No member set is built here: ``built`` maps
-    # a generator to its point once ``points_containing`` or
-    # ``enumerate_points`` first needs it, and the list stays empty until
-    # ``enumerate_points`` fills it.  ``dict.setdefault`` with a tuple-of-ints
-    # key runs no Python code, so every caller gets the first point stored.
-    # The row table, read by ``points_containing``, has one entry per b:
-    # (h, (b/h)^-1 mod d/h, the rows g | h in enumeration order) with
-    # h = gcd(b, d), since only those rows can hold a vector (b, c).
+    # and is a length-d list whose slot c holds the point of generator
+    # (g mod d, c), or None if that is no canonical generator.  Every point is
+    # made here from its generator, with no member set, and the rows are never
+    # written after this, so every caller of one cached line gets the same
+    # objects.  The points tuple lists the row slots in order, which is the
+    # order of the generators.  The row table, read by ``points_containing``,
+    # has one entry per b: (h, (b/h)^-1 mod d/h, the rows g | h in
+    # enumeration order) with h = gcd(b, d), since only those rows can hold a
+    # vector (b, c).
     d = m.d
     rows: list[tuple[int, list]] = []
     for g in [d, *(g for g in range(1, d) if d % g == 0)]:
         n = d // g
-        row: list[Vector2 | None] = [None] * d
-        for gen in (_generator(g, r, d) for r in range(n) if math.gcd(r, g, n) == 1):
-            row[gen[1]] = gen
+        row: list[Point | None] = [None] * d
+        for r in range(n):
+            if math.gcd(r, g, n) == 1:
+                p = _line_point(_generator(g, r, d), d)
+                row[p.generator[1]] = p
         rows.append((g, row))
+    points = tuple(p for _, row in rows for p in row if p is not None)
     dividing = {h: [(g, row) for g, row in rows if h % g == 0] for h, _ in rows}
     table = [(h, pow(b // h, -1, d // h), dividing[h])
              for b in range(d) for h in [math.gcd(b, d)]]
-    return [], {}, rows, table
+    return points, rows, table
 
 
 def enumerate_points(m: Modulus) -> list[Point]:
     """All points of the line over Z_d, ordered by canonical generator.
 
     Works for any d > 1, and there are ``line_size_formula(m)`` of them.  The
-    first call builds, in one pass, every point no ``points_containing`` query
-    has built yet, and keeps it by generator as a query does.  Their members
-    are drawn from one table of Z_d^2, so a vector on several of them is one
-    tuple, and each set is copied from a set, which sizes its hash table for
-    its final length.  Every later call, and every query, returns the same
-    objects.
+    points of a line are made together from their generators, with no member
+    set: each point makes its set on first read of ``members`` and keeps it.
+    Every call, and every ``points_containing`` query, returns the same
+    objects while the line stays cached.
     """
-    points, built, rows, _ = _points_cached(m)
-    if not points:
-        d = m.d
-        vectors = [(b, c) for b in range(d) for c in range(d)]
-        # assigned whole, so an interrupted build leaves the list empty
-        points[:] = [
-            built.get(gen) or built.setdefault(gen, Point(gen, frozenset(
-                {vectors[(u * g % d) * d + u * c % d] for u in range(d)})))
-            for g, row in rows for c, gen in enumerate(row) if gen is not None]
-    return list(points)
+    return list(_points_cached(m)[0])
 
 
 def line_size_formula(m: Modulus) -> int:
@@ -176,19 +222,16 @@ def points_containing(v: Vector2, m: Modulus) -> list[Point]:
     with h = gcd(b, d), only rows g | h can hold v, a row has solutions iff
     h | c*g, and they are x = (c*g/h) * (b/h)^-1 mod d/h plus multiples of d/h.
     A query reads the tau(h) rows g | h, h slots of each, from the row table
-    built with the generators, and reads no member set.  A point not built
-    yet is built with ``point_through`` of its generator and kept by
-    generator, so a cold query builds only the points it returns, and
-    ``enumerate_points`` later returns those same objects.
+    built with the points, and reads no member set.  It returns the points
+    kept in the row slots, the objects ``enumerate_points`` returns.
     """
     d = m.d
     b, c = v[0] % d, v[1] % d
-    _, built, _, table = _points_cached(m)
+    _, _, table = _points_cached(m)
     h, inverse, rows = table[b]
     n = d // h
-    return [built.get(gen) or built.setdefault(gen, point_through(gen, m))
-            for g, row in rows if c * g % h == 0
-            for gen in row[c * g // h * inverse % n::n] if gen is not None]
+    return [p for g, row in rows if c * g % h == 0
+            for p in row[c * g // h * inverse % n::n] if p is not None]
 
 
 def perp_as_point_union(v: Vector2, m: Modulus) -> frozenset[Vector2]:
@@ -219,7 +262,7 @@ class NeighbourGraph(Record):
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "vertices": [list(p.generator) for p in self.vertices],
-            "edges": [list(e) for e in self.edges],
+            "edges": self.edges,
         }
 
     def dot_lines(self) -> Iterator[str]:

@@ -246,8 +246,9 @@ def test_criterion_13_theorem2_at_d105():
 
 
 def test_criterion_14_cold_points_containing_at_d2310():
-    # cold: a query builds the generators and the row table, and only the
-    # one point it returns; the line has 8640 points of 2310 members each
+    # cold: a query builds the line's points from their generators, and the
+    # row table, with no member set; the line has 6912 points of 2310 members
+    # each, and only the one point it returns makes its set, when read
     ringline.projline._points_cached.cache_clear()
     tracemalloc.start()
     start = time.perf_counter()
@@ -286,13 +287,14 @@ def test_criterion_15_points_json_at_d210(capsys):
 
 
 @pytest.mark.parametrize("argv, ceiling_mib", [
-    ("graph 210 --format json", 28),
-    ("graph 210 --format dot", 20),
-    ("points 210 --format json", 12),
+    ("graph 210 --format json", 12),
+    ("graph 210 --format dot", 12),
+    ("points 210 --format json", 6),
 ])
 def test_criterion_16_heavy_outputs_are_streamed(argv, ceiling_mib):
-    # cold, like criterion 14: the peak holds the points and the graph, but
-    # not the 1.7-6 MB rendering or a copy of it, which go out in pieces
+    # cold, like criterion 14: the peak holds the points, with no member set,
+    # and the graph, but not the 1.7-6 MB rendering or a copy of it, which go
+    # out in pieces, each point's members read off its generator
     ringline.projline._points_cached.cache_clear()
     with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
         tracemalloc.start()
@@ -305,3 +307,23 @@ def test_criterion_16_heavy_outputs_are_streamed(argv, ceiling_mib):
     assert code == 0
     assert peak < ceiling_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
     print(f"PASS criterion 16: {argv}, peak {peak / 2**20:.1f} MiB")
+
+
+def test_criterion_17_cold_enumeration_at_d2310():
+    # cold: all 6912 points are made from their generators; none makes its
+    # member set of 2310 vectors until it is read
+    ringline.projline._points_cached.cache_clear()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        pts = enumerate_points(make_modulus(2310))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        ringline.projline._points_cached.cache_clear()
+    assert len(pts) == 6912 == line_size_formula(make_modulus(2310))
+    assert elapsed < 1.0, f"took {elapsed:.2f} s"
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    print(f"PASS criterion 17: cold enumerate_points at d=2310, {elapsed:.2f} s, "
+          f"peak {peak / 2**20:.1f} MiB")

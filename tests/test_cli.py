@@ -534,8 +534,49 @@ def test_chunks_join_lines_in_pieces_of_bounded_size(sizes):
     lines = ["x" * n for n in sizes]
     pieces = list(cli._chunks(lines))
     assert "".join(pieces) == "".join(line + "\n" for line in lines)
+    # a piece is cut before the line that would take it past _CHUNK, so only
+    # a line of _CHUNK characters or more makes a longer one, alone
     longest = max(sizes, default=0)
-    assert all(cli._CHUNK <= len(p) - p.count("\n") < cli._CHUNK + longest for p in pieces[:-1])
+    assert all(cli._CHUNK - longest <= len(p) for p in pieces[:-1])
+    assert all(len(p) <= max(cli._CHUNK, longest + 1) for p in pieces)
+
+
+def test_chunks_cut_a_line_given_in_parts():
+    parts = [f"({i},{i}) " for i in range(30_000)]
+    pieces = list(cli._chunks(["head", iter(parts), [], "tail"]))
+    assert "".join(pieces) == "head\n" + "".join(parts) + "\n\ntail\n"
+    longest = max(map(len, parts))
+    assert len(pieces) > 3
+    assert all(cli._CHUNK - longest <= len(p) <= cli._CHUNK for p in pieces[:-1])
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def test_perp_text_writes_its_members_line_in_bounded_pieces(monkeypatch):
+    # perp 330 0 0 has all 108900 vectors as members: a line of over a
+    # million characters, written a piece at a time
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["perp", "330", "0", "0"]) == 0
+    members = sorted(symplectic.perp_set((0, 0), make_modulus(330)).members)
+    line = "members = " + " ".join(f"({b},{c})" for b, c in members) + "\n"
+    assert len(line) > 15 * cli._CHUNK
+    assert line in out.getvalue()
+    assert max(out.sizes) <= cli._CHUNK
 
 
 def _points_text(d):

@@ -389,20 +389,17 @@ def test_failed_entry_always_carries_a_witness(monkeypatch):
 @pytest.mark.parametrize("d", [12, 18, 30])
 @pytest.mark.parametrize("fault", ["drop", "duplicate"])
 def test_theorem1_catches_a_dropped_or_duplicated_point(monkeypatch, d, fault):
-    # fault: the enumeration loses its last point, or lists it twice; the rows
-    # lose the dropped point's slot, and have one slot for the duplicate
-    points = ringline.projline.enumerate_points(make_modulus(d))
-    _, built, rows, table = ringline.projline._points_cached(make_modulus(d))
+    # fault: the line loses its last point, or lists it twice; the rows lose
+    # the dropped point's slot, and have one slot for the duplicate
+    points, rows, table = ringline.projline._points_cached(make_modulus(d))
     last = points[-1]
     if fault == "drop":
         def strip(rows):
-            return [(g, [None if gen == last.generator else gen for gen in row])
-                    for g, row in rows]
+            return [(g, [None if p is last else p for p in row]) for g, row in rows]
 
-        planted = (points[:-1], built, strip(rows),
-                   [(h, inverse, strip(rs)) for h, inverse, rs in table])
+        planted = (points[:-1], strip(rows), [(h, inverse, strip(rs)) for h, inverse, rs in table])
     else:
-        planted = points + [last], built, rows, table
+        planted = (*points, last), rows, table
     monkeypatch.setattr(ringline.projline, "_points_cached", lambda m: planted)
     entry = verify_theorem1(make_modulus(d))
     assert entry.status == "fail"
@@ -529,24 +526,32 @@ _points_cached = ringline.projline._points_cached
 
 def _row_table_dropping_last_rows(m):
     # every b's entry of the row table loses its last row
-    points, built, rows, table = _points_cached(m)
-    return points, built, rows, [(h, inverse, rs[:-1]) for h, inverse, rs in table]
+    points, rows, table = _points_cached(m)
+    return points, rows, [(h, inverse, rs[:-1]) for h, inverse, rs in table]
 
 
 _enumerate_points = ringline.projline.enumerate_points
 
 
 def _bulk_build_dropping_a_member(m):
-    # the last point the bulk build makes loses its largest member; points
-    # already built by a query, through point_through, stay whole
-    points, built, rows, _ = _points_cached(m)
-    unbuilt = [gen for _, row in rows for gen in row if gen is not None and gen not in built]
-    _enumerate_points(m)
-    if unbuilt:
-        whole = built[unbuilt[-1]]
-        built[whole.generator] = points[points.index(whole)] = ringline.projline.Point(
-            whole.generator, whole.members - {max(whole.members)})
-    return list(points)
+    # the last point of the line loses its largest member in its row slot,
+    # which queries read, and so in the enumeration
+    points = _enumerate_points(m)
+    (g, c) = points[-1].generator
+    row = next(row for h, row in _points_cached(m)[1] if h % m.d == g)
+    if row[c] is points[-1]:
+        whole = row[c]
+        row[c] = ringline.projline.Point(whole.generator, whole.members - {max(whole.members)})
+    points[-1] = row[c]
+    return points
+
+
+_members_in_order = ringline.projline._members_in_order
+
+
+def _closed_form_dropping_an_element(generator, d):
+    # every point of the line loses the last element of its last coset
+    return iter(list(_members_in_order(generator, d))[:-1])
 
 
 _construct_witness = ringline.oracle.construct_witness
@@ -653,6 +658,9 @@ PLANTED_FAULTS = {
     "bulk-build-drops-a-member": (
         ringline.projline, "enumerate_points", _bulk_build_dropping_a_member, "theorem1",
     ),
+    "closed-form-drops-a-coset-element": (
+        ringline.projline, "_members_in_order", _closed_form_dropping_an_element, "theorem1",
+    ),
     "is-admissible-always-false": (
         ringline.projline, "is_admissible", lambda v, m: False, "theorem1",
     ),
@@ -744,6 +752,8 @@ PLANTED_CLAIMS = {
     "points-containing-drops-a-member":
         "point through admissible vector differs from point_through",
     "bulk-build-drops-a-member": "point through admissible vector differs from point_through",
+    "closed-form-drops-a-coset-element":
+        "point through admissible vector differs from point_through",
     "is-admissible-always-false":
         "number of admissible vectors differs from line size times unit count",
     "is-admissible-ignores-d": "is_admissible differs from an empty index set K",
@@ -954,6 +964,7 @@ def test_theorem2_catches_a_non_orthogonal_perp_set_member_off_square_free_d(mon
     "fault",
     [
         "bulk-build-drops-a-member",
+        "closed-form-drops-a-coset-element",
         "line-size-formula-plus-one",
         "perp-rows-drop-a-bit",
         "point-through-keeps-v",

@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import pathlib
+import pickle
 import random
 import sys
 import threading
@@ -236,20 +238,27 @@ def _reference_rows(m):
     return rows
 
 
+def _row_generators(m):
+    # the generator in each row slot of the cached line
+    return [(g, [p and p.generator for p in row]) for g, row in projline._points_cached(m)[1]]
+
+
 def test_point_rows_match_the_orbit_marking_scan():
     # off square-free d, gcd(r, g, d/g) > 1 skips residues of a row
     for d in [*range(2, 151), 210, 330, 360, 1024, 2310, 3600]:
         m = make_modulus(d)
         projline._points_cached.cache_clear()
-        assert projline._points_cached(m)[2] == _reference_rows(m), d
-    # the rows hold generators only: building points, by a query and then in
-    # bulk, leaves them as they were built
+        assert _row_generators(m) == _reference_rows(m), d
+    # the rows are made with the points: a query, an enumeration and reading
+    # member sets leave every slot holding the enumerated point it was built with
     for d in [12, 30, 36, 210]:
         m = make_modulus(d)
         projline._points_cached.cache_clear()
-        points_containing((1, 2), m)
-        enumerate_points(m)
-        assert projline._points_cached(m)[2] == _reference_rows(m), d
+        perp_as_point_union((1, 2), m)
+        pts = enumerate_points(m)
+        assert _row_generators(m) == _reference_rows(m), d
+        slots = [p for _, row in projline._points_cached(m)[1] for p in row if p is not None]
+        assert list(map(id, slots)) == list(map(id, pts)), d
 
 
 def test_point_count_is_dedekind_psi_for_every_d():
@@ -276,29 +285,55 @@ def test_point_cache_is_bounded():
     assert [(p.generator, p.members) for p in rebuilt] == [(p.generator, p.members) for p in built]
 
 
+def _kept(p):
+    # the member set a point holds, or None if it has not made one yet
+    try:
+        return Point.members.__get__(p, Point)
+    except AttributeError:
+        return None
+
+
 @pytest.mark.parametrize("d", [12, 30])
-def test_points_share_one_tuple_per_vector(d):
-    # a vector on several points is one object, so the points hold d^2 tuples
-    # when the bulk build makes them all
+def test_enumeration_makes_no_member_set(d):
+    # a point of the line makes its member set on first read, from the closed
+    # form, and keeps that one set
     projline._points_cached.cache_clear()
-    pts = enumerate_points(make_modulus(d))
-    assert len({id(w) for p in pts for w in p.members}) == d * d
+    m = make_modulus(d)
+    pts = enumerate_points(m)
+    assert [_kept(p) for p in pts] == [None] * len(pts)
+    assert [p.members for p in pts] == [orbit(p.generator, d) for p in pts]
+    assert all(_kept(p) is p.members for p in pts)
 
 
-def _built(m):
-    # the points in the cache whose member sets exist
-    return list(projline._points_cached(m)[1].values())
+@pytest.mark.parametrize("read", [False, True])
+def test_a_point_of_the_line_survives_pickle_and_deepcopy(read):
+    # a clone is again a point of the line, read or not: it carries the
+    # generator and d, not the set, and makes an equal set when read
+    m = make_modulus(30)
+    projline._points_cached.cache_clear()
+    p = enumerate_points(m)[40]
+    if read:
+        p.members
+    for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert type(clone) is Point and clone == p and clone is not p
+        assert _kept(clone) is None
+        assert list(clone.sorted_members()) == sorted(orbit(p.generator, 30))
+        assert clone.members == p.members
 
 
 @pytest.mark.parametrize("d", [12, 30, 36])
 @pytest.mark.parametrize("v", [(1, 2), (2, 0), (0, 0)])
 def test_points_containing_builds_only_the_points_it_returns(d, v):
+    # a query makes no member set; the union makes the sets of exactly the
+    # points through v, and every caller gets the enumerated objects
     m = make_modulus(d)
     projline._points_cached.cache_clear()
     got = points_containing(v, m)
-    assert sorted(map(id, _built(m))) == sorted(map(id, got))
-    assert [id(p) for p in points_containing(v, m)] == [id(p) for p in got]
     pts = enumerate_points(m)
+    assert [_kept(p) for p in pts] == [None] * len(pts)
+    perp_as_point_union(v, m)
+    assert [p for p in pts if _kept(p) is not None] == got
+    assert [id(p) for p in points_containing(v, m)] == [id(p) for p in got]
     assert [next(q for q in pts if q is p) for p in got] == got
 
 
@@ -314,73 +349,85 @@ def test_points_containing_returns_the_enumerated_objects(d):
         assert all(id(p) in ids for p in points_containing(v, m))
 
 
+def _race(threads, work):
+    # run work(i) on each thread at once, with thread switches as often as
+    # the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = threading.Barrier(threads)
+
+        def run(i):
+            start.wait()
+            work(i)
+
+        pool = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_concurrent_callers_fill_each_slot_once(seed):
-    # threads race to build the points of one cached line; every caller must
-    # get the objects the rows and the enumeration keep
+    # each row slot is filled once, when the line is built; threads racing
+    # through queries, unions and enumerations on one cached line must all get
+    # the slot objects, and the member sets they read first must be equal
     m = make_modulus(60)
     projline._points_cached.cache_clear()
     projline._points_cached(m)
     vectors = all_vectors(60)
     results = [[] for _ in range(6)]
+    unions = [{} for _ in range(6)]
 
     def work(i):
         rng = random.Random(seed * 6 + i)
         for k in range(40):
+            v = rng.choice(vectors)
             if k == 20 + i % 2:
                 results[i].extend(enumerate_points(m))
+            elif k % 3 == 0:
+                unions[i][v] = perp_as_point_union(v, m)
             else:
-                results[i].extend(points_containing(rng.choice(vectors), m))
+                results[i].extend(points_containing(v, m))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _race(6, work)
     pts = enumerate_points(m)
     assert len(pts) == line_size_formula(m)
     ids = {id(p) for p in pts}
     assert all(id(p) in ids for result in results for p in result)
-    built = projline._points_cached(m)[1]
-    assert [id(built[p.generator]) for p in pts] == [id(p) for p in pts]
-    assert len(built) == len(pts)
+    slots = [p for _, row in projline._points_cached(m)[1] for p in row if p is not None]
+    assert [id(p) for p in slots] == [id(p) for p in pts]
+    for union in unions:
+        for v, members in union.items():
+            assert members == frozenset().union(*(orbit(p.generator, 60)
+                                                  for p in points_containing(v, m))), v
 
 
 def test_threads_that_race_for_one_cold_point_get_one_object():
-    # every thread queries the same vector on a cold line, so all of them
-    # race to build the same point; each must get the object kept for it
+    # every thread reads the members of the same point of a cached line for
+    # the first time; each must get the one point object and an equal set
     m = make_modulus(60)
     v = (7, 12)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            projline._points_cached.cache_clear()
-            projline._points_cached(m)
-            start = threading.Barrier(6)
-            results = [None] * 6
+    expected = orbit(v, 60)
+    for _ in range(20):
+        projline._points_cached.cache_clear()
+        projline._points_cached(m)
+        results = [None] * 6
 
-            def work(i):
-                start.wait()
-                results[i] = points_containing(v, m)
+        def work(i):
+            [point] = points_containing(v, m)
+            results[i] = point, point.members
 
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            [point] = results[0]
-            assert all(len(r) == 1 and r[0] is point for r in results)
-            assert next(p for p in enumerate_points(m) if p.generator == point.generator) is point
-    finally:
-        sys.setswitchinterval(interval)
+        _race(6, work)
+        point = results[0][0]
+        assert all(p is point for p, _ in results)
+        assert next(p for p in enumerate_points(m) if p.generator == point.generator) is point
+        assert all(members == expected for _, members in results)
+        assert point.members == expected
 
 
 def test_point_count_formula_up_to_105():
@@ -559,7 +606,9 @@ def test_neighbour_graph_d6():
     assert len(g.edges) == 30
     assert Counter(i for e in g.edges for i in e) == dict.fromkeys(range(12), 5)
     golden = json.loads((GOLDEN / "graph_d6.json").read_text())
-    assert g.to_json_dict() == golden
+    # the edges go to the JSON writer as the graph's own tuples
+    assert g.to_json_dict()["edges"] is g.edges
+    assert json.loads(json.dumps(g.to_json_dict())) == golden
 
 
 def test_neighbour_graph_dot_output():
