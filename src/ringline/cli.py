@@ -49,7 +49,10 @@ _CHECK_NAMES = "group,theorem1,theorem2,witness_construction"
 
 # Output piece sizes: int pairs per %-format in _json and per piece of a
 # vector list in text, and characters of text per write in _emit.  Each keeps
-# a piece to tens of kilobytes.
+# a piece to tens of kilobytes.  Text lines are joined into _CHUNK pieces
+# because an unbuffered stdout (PYTHONUNBUFFERED=1) makes every write one
+# write(2) call: written line by line into a pipe, ``graph 210``'s DOT
+# output took ~550 ms against ~240 ms joined (Python 3.11, 2 shared vCPUs).
 _PAIR_BATCH = 2048
 _CHUNK = 1 << 16
 

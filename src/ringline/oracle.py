@@ -23,8 +23,8 @@ go through ``form``.  It also checks
 ``theorem2`` queries the points through every vector and ``theorem1`` through
 every admissible one; ``points_containing`` answers each query from the point
 generators, never from their member sets, and returns the points
-``projline.enumerate_points`` lists, which make their member sets from the
-closed form in their generators when first read.
+``projline.enumerate_points`` lists, which make their member sets when first
+read from ``symplectic``'s perp-set solution at their generators.
 ``group`` checks ``pauli.commutes`` on every class pair against the four-fold
 product it computes there, and counts the d^4 pairs before it reads the centre
 off them.
@@ -125,8 +125,8 @@ def verify_theorem1(m: Modulus) -> CheckResult:
     ``line_size_formula`` * ``ring.unit_count``.  Any d.  Perp-sets are bit
     rows from ``symplectic.perp_rows``, compared with the rows of the point's
     members; the points through each vector come from
-    ``projline.points_containing``, the enumerated points, whose members come
-    from the closed form in their generators, and are compared with
+    ``projline.points_containing``, the enumerated points, whose members are
+    the perp-sets of their generators, and are compared with
     ``point_through``'s orbit.  The enumeration and ``point_through`` share
     one generator rule, so only the definition can catch a wrong one."""
     d = m.d
@@ -202,13 +202,15 @@ def verify_theorem2(m: Modulus) -> CheckResult:
     ``symplectic.perp_rows``, which hold exactly the vectors orthogonal to it.
     The neighbour graph's vertices are the enumerated points, and its edges
     join exactly the points sharing a non-zero vector: the pairs co-listed by
-    ``points_containing`` under some non-zero vector, whose points must all be
-    enumerated ones.  ``perp_rows`` must yield all d^2 vectors."""
+    ``points_containing`` under some non-zero vector, whose points must all
+    equal enumerated ones.  ``perp_rows`` must yield all d^2 vectors."""
     d = m.d
 
     def body() -> Counterexample | None:
         pts = projline.enumerate_points(m)
-        index_of = {id(p): i for i, p in enumerate(pts)}
+        # keyed by generator, as Point equality is: a cached line evicted
+        # mid-check is rebuilt into new, equal objects
+        index_of = {p.generator: i for i, p in enumerate(pts)}
         sharing: set[tuple[int, int]] = set()
         proper_union_seen = False
         read = 0
@@ -223,7 +225,7 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "expected": expected_points,
                     "actual": len(containing),
                 }
-            listed = [index_of.get(id(p)) for p in containing]
+            listed = [index_of.get(p.generator) for p in containing]
             if None in listed:
                 return {
                     "claim": "point through vector is not an enumerated point",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, repeat
 from typing import Any, Iterable, Iterator
 
 from . import symplectic
@@ -47,9 +46,11 @@ class Point(_OnLine):
     ``point_through`` and by enumeration, and both take the generator from
     ``_generator``.
 
-    A point of the line, as ``enumerate_points`` and ``points_containing``
-    return it, is made from its generator alone: its ``members`` frozenset is
-    made from the closed form ``_members_in_order`` the first time it is read,
+    The point of an admissible p is perp(p), the vectors orthogonal to p
+    (Havlicek & Saniga, J. Phys. A 41 (2008) 015302, at any d).  So a point
+    of the line, as ``enumerate_points`` and ``points_containing`` return it,
+    is made from its generator alone: its ``members`` frozenset is made from
+    ``symplectic._perp_in_order`` at the generator the first time it is read,
     and kept.  Two threads reading it first at once each make one; the sets
     are equal.
     """
@@ -60,7 +61,7 @@ class Point(_OnLine):
         # reached only for an unset slot: ``members`` of an unread point of the line
         if name != "members":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        members = frozenset(_members_in_order(self.generator, self._d))
+        members = frozenset(symplectic._perp_in_order(self.generator, self._d))
         object.__setattr__(self, "members", members)
         return members
 
@@ -75,10 +76,10 @@ class Point(_OnLine):
         return f"Z{d}({self.generator[0]},{self.generator[1]})"
 
     def sorted_members(self) -> Iterable[Vector2]:
-        """The members in sorted order.  A point of the line yields them from
-        the closed form and makes no set; any other point sorts its set."""
+        """The members in sorted order.  A point of the line yields its
+        generator's perp-set and makes no set; any other point sorts its set."""
         d = getattr(self, "_d", None)
-        return _members_in_order(self.generator, d) if d else sorted(self.members)
+        return symplectic._perp_in_order(self.generator, d) if d else sorted(self.members)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -93,22 +94,6 @@ def _line_point(generator: Vector2, d: int) -> Point:
     object.__setattr__(p, "generator", generator)
     object.__setattr__(p, "_d", d)
     return p
-
-
-def _members_in_order(generator: Vector2, d: int) -> Iterator[Vector2]:
-    """The members of the point with canonical generator (g mod d, x), sorted.
-
-    With n = d/g, the multiples u*(g, x) with u = k (mod n) fill row k*g,
-    and since gcd(x, g) = 1 their second coordinates are the coset
-    k*x + nZ_d: the members are (k*g, (k*x mod n) + s*n) for k < n and
-    s < g, at any d (Havlicek & Saniga, J. Phys. A 41 (2008) 015302).  Row
-    0's point (0, 1) has g = d and n = 1.  Yielded row by row; nothing is
-    kept.
-    """
-    g = generator[0] or d
-    x = generator[1]
-    n = d // g
-    return chain.from_iterable(zip(repeat(k * g, g), range(k * x % n, d, n)) for k in range(n))
 
 
 def _generator(g: int, x: int, d: int) -> Vector2:

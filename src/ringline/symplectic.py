@@ -44,25 +44,33 @@ class PerpSet(Record):
 
 
 def perp_set(v: Vector2, m: Modulus) -> PerpSet:
-    """The perp-set of v = (b, c): the solutions (b', c') of b*c' = c*b' mod d.
+    """The perp-set of v = (b, c): the solutions (b', c') of b*c' = c*b' mod d,
+    as ``_perp_in_order`` yields them.  For an admissible v it is the point
+    that v generates (both have d members, and the point lies in it)."""
+    base = (v[0] % m.d, v[1] % m.d)
+    return PerpSet(base, frozenset(_perp_in_order(base, m.d)))
+
+
+def _perp_in_order(v: Vector2, d: int) -> Iterator[Vector2]:
+    """perp(v) for v = (b, c) reduced mod d, in sorted order, row by row.
 
     With g = gcd(b, d) and n = d/g, a row b' has solutions iff g | c*b', and
     they are c' = (c*b'/g) * (b/g)^-1 mod n plus multiples of n.  That is
     d + d*gcd(b, c, d) steps, and no call to ``form``, so ``perp_rows``, which
     reads the form, is an independent build to compare with.  b = 0 needs no
-    branch: then n = 1 and every c' solves a solvable row.
+    branch: then n = 1 and every c' solves a solvable row.  At a canonical
+    generator these are the members of its point: ``projline.Point`` reads
+    them here, and nothing is kept.
     """
-    d = m.d
-    b, c = base = (v[0] % d, v[1] % d)
+    b, c = v
     g = math.gcd(b, d)
     n = d // g
     inverse = pow(b // g, -1, n)
-    members = frozenset(
+    return (
         (b2, c2)
         for b2 in range(d) if c * b2 % g == 0
         for c2 in range(c * b2 // g * inverse % n, d, n)
     )
-    return PerpSet(base, members)
 
 
 def perp_rows(m: Modulus) -> Iterator[tuple[Vector2, list[int]]]:

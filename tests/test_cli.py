@@ -579,6 +579,18 @@ def test_perp_text_writes_its_members_line_in_bounded_pieces(monkeypatch):
     assert max(out.sizes) <= cli._CHUNK
 
 
+def test_graph_dot_reaches_stdout_in_about_one_write_per_chunk(monkeypatch):
+    # with PYTHONUNBUFFERED set every write is one write(2) call, so the DOT
+    # lines are joined into pieces before they are written, not one by one
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["graph", "105"]) == 0
+    text = out.getvalue()
+    longest = max(map(len, text.splitlines())) + 1
+    assert len(text) > cli._CHUNK
+    assert len(text) / cli._CHUNK <= len(out.sizes) <= len(text) // (cli._CHUNK - longest) + 1
+
+
 def _points_text(d):
     pts = projline.enumerate_points(make_modulus(d))
     lines = [f"d = {d}", f"points = {len(pts)}", f"points_formula = {len(pts)}"]
@@ -596,7 +608,7 @@ def _points_csv(d):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("d", [105, 210])
+@pytest.mark.parametrize("d", [72, 105, 210, 360])
 @pytest.mark.parametrize("argv, reference", [
     ("points {d}", _points_text),
     ("points {d} --format csv", _points_csv),

@@ -546,12 +546,13 @@ def _bulk_build_dropping_a_member(m):
     return points
 
 
-_members_in_order = ringline.projline._members_in_order
+_perp_in_order = ringline.symplectic._perp_in_order
 
 
-def _closed_form_dropping_an_element(generator, d):
-    # every point of the line loses the last element of its last coset
-    return iter(list(_members_in_order(generator, d))[:-1])
+def _closed_form_dropping_an_element(v, d):
+    # every perp-set read in order, so every point of the line, loses its
+    # last element, the last of its last coset
+    return iter(list(_perp_in_order(v, d))[:-1])
 
 
 _construct_witness = ringline.oracle.construct_witness
@@ -659,7 +660,7 @@ PLANTED_FAULTS = {
         ringline.projline, "enumerate_points", _bulk_build_dropping_a_member, "theorem1",
     ),
     "closed-form-drops-a-coset-element": (
-        ringline.projline, "_members_in_order", _closed_form_dropping_an_element, "theorem1",
+        ringline.symplectic, "_perp_in_order", _closed_form_dropping_an_element, "theorem1",
     ),
     "is-admissible-always-false": (
         ringline.projline, "is_admissible", lambda v, m: False, "theorem1",
@@ -1082,9 +1083,30 @@ def test_theorem2_names_a_point_outside_the_enumeration(monkeypatch):
     assert entry.status == "fail"
     assert entry.counterexample == {
         "claim": "point through vector is not an enumerated point",
-        "vector": [0, 1],
-        "point": _point_through_keeping_v((0, 1), make_modulus(6)).to_json_dict(),
+        "vector": [0, 5],  # (0, 1) is canonical
+        "point": _point_through_keeping_v((0, 5), make_modulus(6)).to_json_dict(),
     }
+
+
+@pytest.mark.parametrize("d", [6, 12])
+def test_theorem2_passes_when_the_line_is_evicted_mid_check(monkeypatch, d):
+    # the cached line may be rebuilt into new, equal point objects at any
+    # time, as by another caller filling the cache; theorem2 must still find
+    # every queried point among the enumerated ones
+    calls = 0
+
+    def evicting(v, m):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            ringline.projline._points_cached.cache_clear()
+        return _points_containing(v, m)
+
+    ringline.projline._points_cached.cache_clear()
+    monkeypatch.setattr(ringline.projline, "points_containing", evicting)
+    entry = verify_theorem2(make_modulus(d))
+    assert calls > 3
+    assert (entry.status, entry.counterexample) == ("pass", None)
 
 
 @pytest.mark.parametrize("d", [6, 12])

@@ -119,12 +119,14 @@ def test_perp_set_is_a_submodule():
 @pytest.mark.parametrize("d", [2, 4, 8, 9, 12, 18, 30, 36])
 def test_perp_set_equals_the_form_scan_on_every_vector(d):
     # every vector covers b = 0, b a unit and gcd(b, d) a prime power or not;
-    # an unreduced, negative copy of v must give the same set
+    # an unreduced, negative copy of v must give the same set, and the points
+    # and writers that read the solution in order get it sorted, once each
     m = make_modulus(d)
     vectors = all_vectors(d)
     for v in vectors:
         scan = {w for w in vectors if form(v, w, m) == 0}
         assert perp_set(v, m).members == scan, v
+        assert list(ringline.symplectic._perp_in_order(v, d)) == sorted(scan), v
         assert perp_set((v[0] - d, v[1] + 2 * d), m).members == scan, v
 
 
