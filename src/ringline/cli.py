@@ -14,11 +14,12 @@ for byte as ``json.dumps(record, indent=2)`` would, formatting each list of
 int pairs a batch at a time instead of encoding it int by int.
 
 Output is streamed: ``_emit`` writes each format to stdout in pieces of
-bounded size (JSON pieces, CSV rows, text lines joined, and long lines cut, at
-most ``_CHUNK`` characters at a time), so no request holds its whole
-rendering.  A point's members are read off its generator in sorted order, so
-no writer builds or sorts a point's member set.  A reader may close the pipe
-early; the command then stops writing and still returns its own exit code.
+bounded size, by one rule, ``_chunks``: JSON pieces, CSV rows and text lines
+are joined, and long lines cut, at most ``_CHUNK`` characters at a time, so
+no request holds its whole rendering or makes a write per row.  A point's
+members are read off its generator in sorted order, so no writer builds or
+sorts a point's member set.  A reader may close the pipe early; the command
+then stops writing and still returns its own exit code.
 
 Each command imports the layers it uses when it runs, so a request loads only
 those: ``factor`` needs ``ring`` alone.
@@ -48,11 +49,13 @@ if TYPE_CHECKING:
 _CHECK_NAMES = "group,theorem1,theorem2,witness_construction"
 
 # Output piece sizes: int pairs per %-format in _json and per piece of a
-# vector list in text, and characters of text per write in _emit.  Each keeps
-# a piece to tens of kilobytes.  Text lines are joined into _CHUNK pieces
-# because an unbuffered stdout (PYTHONUNBUFFERED=1) makes every write one
-# write(2) call: written line by line into a pipe, ``graph 210``'s DOT
-# output took ~550 ms against ~240 ms joined (Python 3.11, 2 shared vCPUs).
+# vector list in text, and characters per write in _emit.  Each keeps a piece
+# to tens of kilobytes.  JSON pieces, CSV rows and text lines are joined into
+# _CHUNK pieces because an unbuffered stdout (PYTHONUNBUFFERED=1) makes every
+# write one write(2) call: written line by line into a pipe, ``graph 210``'s
+# DOT output took ~550 ms against ~240 ms joined, and ``perp 330 0 0 --format
+# csv`` row by row ~685 ms against ~475 ms buffered (Python 3.11, 2 shared
+# vCPUs).
 _PAIR_BATCH = 2048
 _CHUNK = 1 << 16
 
@@ -186,25 +189,36 @@ def _chunks(lines: Iterable[str | Iterable[str]]) -> Iterator[str]:
         yield "".join(chunk)
 
 
+class _RowLine:
+    """A file for ``csv.writer`` whose ``write`` returns the row's line
+    without its newline, so that ``writerow`` returns it (csv documents that
+    ``writerow`` returns what ``write`` returns)."""
+
+    def write(self, line: str) -> str:
+        return line[:-1]
+
+
 def _emit(fmt: str, record: Any, text: Callable[[], Iterable[str]],
           rows: Callable[[], Iterable[Sequence[Any]]] | None = None) -> None:
-    """Write one command's output to stdout in the requested format, piece by
-    piece: JSON as ``_json``'s pieces, the bytes of ``json.dumps(record,
-    indent=2)``; CSV row by row, the header first; text as ``_chunks`` of its
-    lines.  If the reader closes the pipe, the rest is dropped and stdout is
-    pointed at ``os.devnull``, so that the interpreter's final flush raises
-    nothing and the command keeps its own exit code."""
+    """Write one command's output to stdout in the requested format, as
+    ``_chunks`` of its lines: JSON as one line given in ``_json``'s pieces,
+    the bytes of ``json.dumps(record, indent=2)``; CSV as one line per row as
+    one ``csv.writer`` writes it, the header first; text as its lines.  If
+    the reader closes the pipe, the rest is dropped and stdout is pointed at
+    ``os.devnull``, so that the interpreter's final flush raises nothing and
+    the command keeps its own exit code."""
     out = sys.stdout
     try:
         if fmt == "json":
-            out.writelines(_json(record, "\n"))
-            out.write("\n")
+            lines: Iterable[str | Iterable[str]] = [_json(record, "\n")]
         elif fmt == "csv" and rows is not None:
             import csv
 
-            csv.writer(out, lineterminator="\n").writerows([_cell(c) for c in r] for r in rows())
+            row_line = csv.writer(_RowLine(), lineterminator="\n").writerow
+            lines = (row_line([_cell(c) for c in r]) for r in rows())
         else:
-            out.writelines(_chunks(text()))
+            lines = text()
+        out.writelines(_chunks(lines))
         out.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -327,8 +341,6 @@ def cmd_graph(args: argparse.Namespace, m: Modulus) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, m: Modulus) -> int:
-    import json
-
     from . import oracle
 
     names = None if args.checks is None else args.checks.split(",")
@@ -341,6 +353,8 @@ def cmd_verify(args: argparse.Namespace, m: Modulus) -> int:
             if args.timings:
                 line += f"  ({c.elapsed:.3f}s)"
             if c.counterexample is not None:
+                import json
+
                 line += "\n  counterexample: " + json.dumps(c.counterexample)
             lines.append(line)
         return lines + _kv(("all_passed", report.all_passed))

@@ -10,6 +10,7 @@ import json
 import os
 import time
 import tracemalloc
+from collections import deque
 from contextlib import redirect_stdout
 from itertools import product
 
@@ -327,3 +328,21 @@ def test_criterion_17_cold_enumeration_at_d2310():
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     print(f"PASS criterion 17: cold enumerate_points at d=2310, {elapsed:.2f} s, "
           f"peak {peak / 2**20:.1f} MiB")
+
+
+def test_criterion_18_warm_member_stream_at_d330():
+    # warm: every point of the cached line at d=330 yields its members in
+    # sorted order, read off its generator by symplectic._perp_in_order,
+    # 864 points and 285120 members (best of five runs)
+    pts = enumerate_points(make_modulus(330))
+    sink = deque(maxlen=0).extend
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        for p in pts:
+            sink(p.sorted_members())
+        best = min(best, time.perf_counter() - start)
+    assert len(pts) == 864 == line_size_formula(make_modulus(330))
+    assert sum(1 for p in pts for _ in p.sorted_members()) == 285120
+    assert best < 0.04, f"took {best:.3f} s"
+    print(f"PASS criterion 18: warm member stream at d=330, {best:.3f} s")

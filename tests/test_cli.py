@@ -579,16 +579,67 @@ def test_perp_text_writes_its_members_line_in_bounded_pieces(monkeypatch):
     assert max(out.sizes) <= cli._CHUNK
 
 
+def _about_one_write_per_chunk(out, longest):
+    # a piece is cut before the line or part that would take it past _CHUNK,
+    # so each write but the last holds more than _CHUNK - longest characters
+    text = out.getvalue()
+    assert len(text) > cli._CHUNK
+    assert len(text) / cli._CHUNK <= len(out.sizes) <= len(text) // (cli._CHUNK - longest) + 1
+
+
 def test_graph_dot_reaches_stdout_in_about_one_write_per_chunk(monkeypatch):
     # with PYTHONUNBUFFERED set every write is one write(2) call, so the DOT
     # lines are joined into pieces before they are written, not one by one
     out = _Writes()
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(["graph", "105"]) == 0
-    text = out.getvalue()
-    longest = max(map(len, text.splitlines())) + 1
-    assert len(text) > cli._CHUNK
-    assert len(text) / cli._CHUNK <= len(out.sizes) <= len(text) // (cli._CHUNK - longest) + 1
+    _about_one_write_per_chunk(out, max(map(len, out.getvalue().splitlines())) + 1)
+
+
+def test_points_json_reaches_stdout_in_about_one_write_per_chunk(monkeypatch):
+    # the JSON pieces (one per member list here) are joined like text lines
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["points", "105", "--format", "json"]) == 0
+    record = json.loads(out.getvalue())
+    _about_one_write_per_chunk(out, max(map(len, cli._json(record, "\n"))))
+    assert len(out.sizes) < len(record["points"])
+
+
+def test_perp_csv_reaches_stdout_in_about_one_write_per_chunk(monkeypatch):
+    # 108901 rows, written in pieces of joined rows, not one write per row
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["perp", "330", "0", "0", "--format", "csv"]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[:3] == ["b,c", "0,0", "0,1"] and len(lines) == 330 * 330 + 1
+    _about_one_write_per_chunk(out, max(map(len, lines)) + 1)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_a_passing_verify_report_does_not_import_json(fmt):
+    # only a counterexample in the text view needs json.dumps, and --format
+    # json goes through _json, which imports it itself
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    script = ("import sys\nfrom ringline.cli import main\n"
+              f"code = main(['verify', '6', '--format', '{fmt}'])\n"
+              "print(code, 'json' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.stdout.startswith({"text": "d = 6\n", "csv": "name,status,scope\n"}[fmt])
+    assert proc.stderr == "0 False\n"
+
+
+def test_verify_text_writes_a_counterexample_as_json(capsys, monkeypatch):
+    # the one place a text or CSV report needs json: a failed check's line
+    example = {"vector": [2, 0], "missing": [[1, 3]], "note": "d\u00e9j\u00e0"}
+    failed = oracle.CheckResult("theorem1", "all 36 vectors of Z_6^2", "fail", example, 0.0)
+    monkeypatch.setattr(oracle, "verify_all",
+                        lambda m, checks=None: oracle.VerificationReport(m.d, [failed]))
+    code, out, _ = run(capsys, "verify", "6")
+    assert code == 1
+    assert out == ("d = 6\nFAIL theorem1  all 36 vectors of Z_6^2\n"
+                   f"  counterexample: {json.dumps(example)}\nall_passed = false\n")
 
 
 def _points_text(d):
@@ -622,7 +673,8 @@ def test_streamed_output_equals_the_joined_rendering(capsys, argv, reference, d)
 
 
 @pytest.mark.parametrize("argv", ["graph 105 --format json", "graph 105 --format dot",
-                                  "points 105"])
+                                  "points 105", "points 105 --format json",
+                                  "perp 330 0 0 --format csv"])
 def test_a_reader_may_close_the_pipe_early(argv):
     # each output is larger than a 64 KB pipe buffer, so the command is still
     # writing when the reader goes away

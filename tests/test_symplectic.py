@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import ringline.symplectic
@@ -128,6 +130,30 @@ def test_perp_set_equals_the_form_scan_on_every_vector(d):
         assert perp_set(v, m).members == scan, v
         assert list(ringline.symplectic._perp_in_order(v, d)) == sorted(scan), v
         assert perp_set((v[0] - d, v[1] + 2 * d), m).members == scan, v
+
+
+def _reference_perp_in_order(v, d):
+    # the solution as one comprehension, a generator step per member: row b'
+    # is solvable iff gcd(b, d) | c*b', and its solutions are one coset
+    b, c = v
+    g = math.gcd(b, d)
+    n = d // g
+    inverse = pow(b // g, -1, n)
+    return (
+        (b2, c2)
+        for b2 in range(d) if c * b2 % g == 0
+        for c2 in range(c * b2 // g * inverse % n, d, n)
+    )
+
+
+@pytest.mark.parametrize("d", [60, 72, 105, 210])
+def test_perp_in_order_equals_the_reference_on_every_vector(d):
+    # g = 1 (the line), b = 0 (g = d), gcd(g, c) < g, and d = 60 and 72 not
+    # square-free: the streamed rows and cosets give the same list, in order
+    for b in range(d):
+        for c in range(d):
+            expected = list(_reference_perp_in_order((b, c), d))
+            assert list(ringline.symplectic._perp_in_order((b, c), d)) == expected, (b, c)
 
 
 def test_perp_set_reduces_its_base():
