@@ -16,10 +16,11 @@ int pairs a batch at a time instead of encoding it int by int.
 Output is streamed: ``_emit`` writes each format to stdout in pieces of
 bounded size, by one rule, ``_chunks``: JSON pieces, CSV rows and text lines
 are joined, and long lines cut, at most ``_CHUNK`` characters at a time, so
-no request holds its whole rendering or makes a write per row.  A point's
-members are read off its generator in sorted order, so no writer builds or
-sorts a point's member set.  A reader may close the pipe early; the command
-then stops writing and still returns its own exit code.
+no request holds its whole rendering or makes a write per row.  The members
+of a point, and of a perp-set, are read off its generator or base in sorted
+order, so no writer builds or sorts a member set.  A reader may close the
+pipe early; the command then stops writing and still returns its own exit
+code.
 
 Each command imports the layers it uses when it runs, so a request loads only
 those: ``factor`` needs ``ring`` alone.
@@ -256,11 +257,11 @@ def cmd_perp(args: argparse.Namespace, m: Modulus) -> int:
     _emit(args.format, record,
           lambda: chain(_kv(("d", m.d), ("vector", v), ("perp_size", ps.size),
                             ("perp_size_formula", size_formula)),
-                        [chain(["members = "], _vecs(sorted(ps.members)))],
+                        [chain(["members = "], _vecs(ps.sorted_members()))],
                         _kv(("points_containing", n_points), ("points_formula", count_formula)),
                         (_point_line(p, m.d) for p in points or ()),
                         _kv(("union_equals_perp", union_ok))),
-          lambda: chain([("b", "c")], sorted(ps.members)))
+          lambda: chain([("b", "c")], ps.sorted_members()))
     agree = union_ok and size_formula == ps.size and count_formula == n_points
     return 1 if m.square_free and not agree else 0
 

@@ -11,10 +11,15 @@ by bilinearity; ``theorem1`` reads only the admissible vectors, the rest are
 ``theorem2``'s.  Each of the three counts the cases it read against a closed
 form, so a source that yields too few cannot pass it: ``theorem1`` reads
 line size * unit count admissible vectors, ``theorem2`` d^2 vectors and
-``witness_construction`` d * prod (p^2 + p - 1) pairs.  ``theorem1`` also
-checks every enumerated point's generator against its definition, the least
-admissible member, since ``projline`` builds the generators of the
-enumeration and of ``point_through`` by the same rule.  ``theorem2`` compares
+``witness_construction`` d * prod (p^2 + p - 1) pairs.  ``theorem1``
+compares three builds of the point of every admissible vector v: the rows of
+``perp_rows``, the orbit ``projline.cyclic_submodule`` makes by scaling v,
+and the members of the enumerated point through v, read from ``symplectic``'s
+perp-set solution at its generator; ``projline.point_through`` makes its
+point the same way and is compared by generator.  It also checks every
+enumerated point's generator against its definition, the least admissible
+member, since ``projline`` builds the generators of the enumeration and of
+``point_through`` by the same rule.  ``theorem2`` compares
 two independent builds of every perp-set: ``symplectic.perp_set``, which
 solves b*c' = c*b' (mod d) row by row, and the rows of ``perp_rows``, which
 go through ``form``.  It also checks
@@ -122,12 +127,14 @@ def verify_theorem1(m: Modulus) -> CheckResult:
     vector the perp-set equals the point through it, and exactly one point
     contains the vector, namely ``projline.point_through``'s; the point count
     matches ``projline.line_size_formula``, and the admissible vectors number
-    ``line_size_formula`` * ``ring.unit_count``.  Any d.  Perp-sets are bit
-    rows from ``symplectic.perp_rows``, compared with the rows of the point's
-    members; the points through each vector come from
-    ``projline.points_containing``, the enumerated points, whose members are
-    the perp-sets of their generators, and are compared with
-    ``point_through``'s orbit.  The enumeration and ``point_through`` share
+    ``line_size_formula`` * ``ring.unit_count``.  Any d.  Each admissible
+    vector's point is compared across three independent builds: its perp-set
+    as bit rows from ``symplectic.perp_rows``, which reads ``form``; its
+    orbit Z_d*v from ``projline.cyclic_submodule``; and the members of the
+    one point ``projline.points_containing`` lists, an enumerated point whose
+    members are the closed-form perp-set of its generator.  ``point_through``
+    is made the same way as that point, so it is compared by generator and
+    its members are not read.  The enumeration and ``point_through`` share
     one generator rule, so only the definition can catch a wrong one."""
     d = m.d
 
@@ -148,13 +155,13 @@ def verify_theorem1(m: Modulus) -> CheckResult:
             if not projline.is_admissible(v, m):
                 continue
             admissible += 1
-            through = projline.point_through(v, m)
-            if perp != _rows(through.members, d):
+            orbit = projline.cyclic_submodule(v, m)
+            if perp != _rows(orbit, d):
                 return {
                     "claim": "perp-set of admissible vector differs from its orbit",
                     "vector": list(v),
                     "perp_size": sum(row.bit_count() for row in perp),
-                    "orbit_size": len(through.members),
+                    "orbit_size": len(orbit),
                 }
             containing = projline.points_containing(v, m)
             if len(containing) != 1:
@@ -165,12 +172,15 @@ def verify_theorem1(m: Modulus) -> CheckResult:
                     "generators": [list(p.generator) for p in containing],
                 }
             (p,) = containing
-            if p != through or p.members != through.members:
+            through = projline.point_through(v, m)
+            if p.members != orbit or p != through:
                 return {
                     "claim": "point through admissible vector differs from point_through",
                     "vector": list(v),
                     "point": p.to_json_dict(),
                     "point_through": through.to_json_dict(),
+                    "point_minus_orbit": [list(w) for w in sorted(p.members - orbit)],
+                    "orbit_minus_point": [list(w) for w in sorted(orbit - p.members)],
                 }
         if len(pts) != (size := projline.line_size_formula(m)):
             return {

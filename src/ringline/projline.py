@@ -31,13 +31,7 @@ def cyclic_submodule(v: Vector2, m: Modulus) -> frozenset[Vector2]:
     return frozenset(((u * v[0]) % d, (u * v[1]) % d) for u in range(d))
 
 
-class _OnLine(Record):
-    # The slot in which a point of the line keeps d, outside the fields, so that
-    # its member set can be made from its generator when first read.
-    __slots__ = ("_d",)
-
-
-class Point(_OnLine):
+class Point(symplectic._Solved):
     """A free cyclic submodule of Z_d^2 (a point of the line).
 
     ``generator`` is canonical: the lexicographically smallest admissible
@@ -48,11 +42,11 @@ class Point(_OnLine):
 
     The point of an admissible p is perp(p), the vectors orthogonal to p
     (Havlicek & Saniga, J. Phys. A 41 (2008) 015302, at any d).  So a point
-    of the line, as ``enumerate_points`` and ``points_containing`` return it,
-    is made from its generator alone: its ``members`` frozenset is made from
-    ``symplectic._perp_in_order`` at the generator the first time it is read,
-    and kept.  Two threads reading it first at once each make one; the sets
-    are equal.
+    of the line, as ``enumerate_points``, ``points_containing`` and
+    ``point_through`` return it, is made from its generator alone: its
+    ``members`` frozenset is made from ``symplectic._perp_in_order`` at the
+    generator the first time it is read, and kept.  Two threads reading it
+    first at once each make one; the sets are equal.
     """
 
     __slots__ = ("generator", "members")
@@ -114,13 +108,16 @@ def point_through(v: Vector2, m: Modulus) -> Point:
     Its admissible members are the unit multiples of v = (b, c), whose first
     coordinates share g = gcd(b, d) with d, so the least lies in row g: the
     unit u = (b/g)^-1 mod d/g maps v to (g, u*c), which ``_generator`` lifts.
+    The point is made from that generator alone, as a point of the line is,
+    with no member set: the orbit Z_d*v is the generator's perp-set, which
+    ``members`` makes on first read.
     """
     d = m.d
     b, c = v = (v[0] % d, v[1] % d)
     if not is_admissible(v, m):
         raise ValueError(f"{v} is not admissible mod {d}: gcd = {math.gcd(b, c, d)}")
     g = math.gcd(b, d)
-    return Point(_generator(g, c * pow(b // g, -1, d // g), d), cyclic_submodule(v, m))
+    return _line_point(_generator(g, c * pow(b // g, -1, d // g), d), d)
 
 
 @lru_cache(maxsize=8)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from itertools import chain, repeat
 from operator import add
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .ring import Modulus, Record
 
@@ -28,7 +28,14 @@ def is_perp(v: Vector2, w: Vector2, m: Modulus) -> bool:
     return form(v, w, m) == 0
 
 
-class PerpSet(Record):
+class _Solved(Record):
+    # The slot in which a record whose members ``_perp_in_order`` solves (a
+    # perp-set from ``perp_set``, a point of the line) keeps d, outside the
+    # fields, so that its members can be made or streamed from the solution.
+    __slots__ = ("_d",)
+
+
+class PerpSet(_Solved):
     """All vectors orthogonal to ``base``; a submodule of Z_d^2 containing Z_d*base."""
 
     __slots__ = ("base", "members")
@@ -37,10 +44,16 @@ class PerpSet(Record):
     def size(self) -> int:
         return len(self.members)
 
+    def sorted_members(self) -> Iterable[Vector2]:
+        """The members in sorted order.  A perp-set from ``perp_set`` yields
+        the solution at its base and sorts nothing; any other sorts its set."""
+        d = getattr(self, "_d", None)
+        return _perp_in_order(self.base, d) if d else sorted(self.members)
+
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "base": list(self.base),
-            "members": [list(w) for w in sorted(self.members)],
+            "members": [list(w) for w in self.sorted_members()],
             "size": self.size,
         }
 
@@ -49,8 +62,11 @@ def perp_set(v: Vector2, m: Modulus) -> PerpSet:
     """The perp-set of v = (b, c): the solutions (b', c') of b*c' = c*b' mod d,
     as ``_perp_in_order`` yields them.  For an admissible v it is the point
     that v generates (both have d members, and the point lies in it)."""
-    base = (v[0] % m.d, v[1] % m.d)
-    return PerpSet(base, frozenset(_perp_in_order(base, m.d)))
+    d = m.d
+    base = (v[0] % d, v[1] % d)
+    ps = PerpSet(base, frozenset(_perp_in_order(base, d)))
+    object.__setattr__(ps, "_d", d)
+    return ps
 
 
 # Below this many members per row, _perp_in_order streams each coset whole

@@ -35,7 +35,7 @@ from ringline.pauli import (
     multiply,
     to_matrix,
 )
-from ringline.projline import line_size_formula, enumerate_points, points_containing
+from ringline.projline import line_size_formula, enumerate_points, point_through, points_containing
 from ringline.ring import make_modulus
 from ringline.symplectic import form, perp_set
 
@@ -346,3 +346,21 @@ def test_criterion_18_warm_member_stream_at_d330():
     assert sum(1 for p in pts for _ in p.sorted_members()) == 285120
     assert best < 0.04, f"took {best:.3f} s"
     print(f"PASS criterion 18: warm member stream at d=330, {best:.3f} s")
+
+
+def test_criterion_19_cold_point_through_at_d2310():
+    # cold: point_through makes each point from its generator alone, with no
+    # member set, for 1000 admissible vectors at d=2310 (best of three runs;
+    # each run makes new points); the points equal the enumerated ones
+    m = make_modulus(2310)
+    vectors = [(b, c) for b, c in product(range(1, 2310, 7), range(3, 2310, 11))
+               if ringline.projline.is_admissible((b, c), m)][:1000]
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        pts = [point_through(v, m) for v in vectors]
+        best = min(best, time.perf_counter() - start)
+    assert len(pts) == 1000
+    assert all(v in p.members for v, p in zip(vectors[::97], pts[::97]))
+    assert best < 0.05, f"took {best:.3f} s"
+    print(f"PASS criterion 19: cold point_through at d=2310, 1000 vectors, {best:.4f} s")

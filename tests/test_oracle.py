@@ -991,6 +991,38 @@ def test_verify_fails_an_is_admissible_fault_in_both_theorems(plant, capsys, fau
     assert "FAIL theorem2" in out
 
 
+@pytest.mark.parametrize("d", [6, 12])
+@pytest.mark.parametrize("fault", [
+    "bulk-build-drops-a-member",
+    "closed-form-drops-a-coset-element",
+    "point-through-keeps-v",
+    "points-containing-drops-a-member",
+])
+def test_theorem1_names_how_the_point_differs_from_the_orbit(plant, fault, d):
+    # point_through's point makes its members by the same closed form as the
+    # enumerated point, so the counterexample sets the point against the
+    # orbit, the independent build
+    plant(fault)
+    m = make_modulus(d)
+    (entry,) = verify_all(m, checks=["theorem1"]).checks
+    example = entry.counterexample
+    assert example["claim"] == "point through admissible vector differs from point_through"
+    v = tuple(example["vector"])
+    orbit = ringline.projline.cyclic_submodule(v, m)
+    point = {tuple(w) for w in example["point"]["members"]}
+    assert example["point_minus_orbit"] == [list(w) for w in sorted(point - orbit)]
+    assert example["orbit_minus_point"] == [list(w) for w in sorted(orbit - point)]
+    if fault == "point-through-keeps-v":
+        # the point is the orbit, but point_through kept a non-canonical v
+        assert example["orbit_minus_point"] == example["point_minus_orbit"] == []
+        assert example["point_through"]["generator"] == list(v) != example["point"]["generator"]
+    elif fault == "closed-form-drops-a-coset-element":
+        # (0, 1) is read first, and its point loses its last member
+        assert (v, example["orbit_minus_point"]) == ((0, 1), [[0, d - 1]])
+    else:
+        assert example["point_minus_orbit"] == [] != example["orbit_minus_point"]
+
+
 def test_theorem1_names_both_admissible_counts(plant):
     plant("is-admissible-ignores-d")
     m = make_modulus(6)

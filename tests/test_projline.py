@@ -305,20 +305,39 @@ def test_enumeration_makes_no_member_set(d):
     assert all(_kept(p) is p.members for p in pts)
 
 
+@pytest.mark.parametrize("d", [12, 30, 36, 210])
+def test_point_through_makes_no_member_set(d):
+    # point_through returns its point from the generator alone, like a point
+    # of the line: the first read makes the orbit of v, as a set, and keeps it
+    m = make_modulus(d)
+    rng = random.Random(d)
+    admissible = [v for v in all_vectors(d) if is_admissible(v, m)]
+    for v in rng.sample(admissible, 40):
+        p = point_through(v, m)
+        assert _kept(p) is None
+        assert p.members == cyclic_submodule(v, m)
+        assert _kept(p) is p.members
+        assert p == point_through((v[0] + d, v[1] - 3 * d), m)
+
+
 @pytest.mark.parametrize("read", [False, True])
 def test_a_point_of_the_line_survives_pickle_and_deepcopy(read):
     # a clone is again a point of the line, read or not: it carries the
-    # generator and d, not the set, and makes an equal set when read
+    # generator and d, not the set, and makes an equal set when read; so is
+    # a clone of point_through's point, through a unit multiple of p
     m = make_modulus(30)
     projline._points_cached.cache_clear()
     p = enumerate_points(m)[40]
-    if read:
-        p.members
-    for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
-        assert type(clone) is Point and clone == p and clone is not p
-        assert _kept(clone) is None
-        assert list(clone.sorted_members()) == sorted(orbit(p.generator, 30))
-        assert clone.members == p.members
+    through = point_through((7 * p.generator[0], 7 * p.generator[1]), m)
+    assert through == p and through is not p
+    for q in (p, through):
+        if read:
+            q.members
+        for clone in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+            assert type(clone) is Point and clone == q and clone is not q
+            assert _kept(clone) is None
+            assert list(clone.sorted_members()) == sorted(orbit(q.generator, 30))
+            assert clone.members == q.members
 
 
 @pytest.mark.parametrize("d", [12, 30, 36])

@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 
 import pytest
 
 import ringline.symplectic
 from ringline.ring import make_modulus
-from ringline.symplectic import form, is_perp, perp_rows, perp_set
+from ringline.symplectic import PerpSet, form, is_perp, perp_rows, perp_set
 
 # golden: the twelve vectors orthogonal to (2,0) at d=6
 PERP_2_0_D6 = {
@@ -164,6 +166,30 @@ def test_perp_set_reduces_its_base():
 def test_perp_set_json_shape():
     obj = perp_set((1, 0), make_modulus(2)).to_json_dict()
     assert obj == {"base": [1, 0], "members": [[0, 0], [1, 0]], "size": 2}
+
+
+@pytest.mark.parametrize("d", [6, 12, 30, 36])
+def test_perp_set_streams_its_members_in_order(monkeypatch, d):
+    # a perp-set from perp_set yields the solution at its base again and sorts
+    # nothing; a perp-set built by hand, or a clone, which carries only the
+    # fields, sorts its own set
+    m = make_modulus(d)
+    for v in all_vectors(d):
+        ps = perp_set(v, m)
+        streamed = ps.sorted_members()
+        assert not isinstance(streamed, list)
+        assert list(streamed) == sorted(ps.members), v
+    ps = perp_set((2, 3), m)
+    by_hand = PerpSet(ps.base, frozenset(list(ps.members)[1:]))
+    for clone in (pickle.loads(pickle.dumps(ps)), copy.deepcopy(ps), by_hand):
+        assert type(clone) is PerpSet and clone is not ps
+        assert clone.sorted_members() == sorted(clone.members)
+        assert clone.to_json_dict()["members"] == [list(w) for w in sorted(clone.members)]
+    assert pickle.loads(pickle.dumps(ps)) == ps != by_hand
+    assert repr(ps) == f"PerpSet(base={ps.base!r}, members={ps.members!r})"
+    monkeypatch.setattr(ringline.symplectic, "_perp_in_order", lambda v, d: iter(()))
+    assert list(ps.sorted_members()) == []
+    assert list(by_hand.sorted_members()) == sorted(by_hand.members)
 
 
 @pytest.mark.parametrize("d", range(2, 17))
