@@ -10,8 +10,8 @@ recent lines, builds every point of a line together from its generator, so
 concurrent callers get equal points, though not always the same objects.
 Two callers get different objects only when each builds the line itself: both
 find it missing from the cache at once, or it was evicted between them.  A
-point makes its member set on first read and keeps it; two threads reading it
-first at once get equal sets.
+point, like a perp-set from ``perp_set``, makes its member set on first read
+and keeps it; two threads reading it first at once get equal sets.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from . import symplectic
 from .ring import Modulus, Record, is_unit
@@ -43,51 +43,17 @@ class Point(symplectic._Solved):
     The point of an admissible p is perp(p), the vectors orthogonal to p
     (Havlicek & Saniga, J. Phys. A 41 (2008) 015302, at any d).  So a point
     of the line, as ``enumerate_points``, ``points_containing`` and
-    ``point_through`` return it, is made from its generator alone: its
-    ``members`` frozenset is made from ``symplectic._perp_in_order`` at the
-    generator the first time it is read, and kept.  Two threads reading it
-    first at once each make one; the sets are equal.
+    ``point_through`` return it, is made from its generator alone, with no
+    member set, by ``symplectic._solved`` (see ``symplectic._Solved``).
     """
 
     __slots__ = ("generator", "members")
-
-    def __getattr__(self, name: str) -> Any:
-        # reached only for an unset slot: ``members`` of an unread point of the line
-        if name != "members":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        members = frozenset(symplectic._perp_in_order(self.generator, self._d))
-        object.__setattr__(self, "members", members)
-        return members
-
-    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
-        d = getattr(self, "_d", None)
-        return (_line_point, (self.generator, d)) if d else super().__reduce__()
 
     def _key(self) -> Vector2:
         return self.generator
 
     def label(self, d: int) -> str:
         return f"Z{d}({self.generator[0]},{self.generator[1]})"
-
-    def sorted_members(self) -> Iterable[Vector2]:
-        """The members in sorted order.  A point of the line yields its
-        generator's perp-set and makes no set; any other point sorts its set."""
-        d = getattr(self, "_d", None)
-        return symplectic._perp_in_order(self.generator, d) if d else sorted(self.members)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "generator": list(self.generator),
-            "members": [list(w) for w in self.sorted_members()],
-        }
-
-
-def _line_point(generator: Vector2, d: int) -> Point:
-    """The point of the line over Z_d with this canonical generator, with no member set yet."""
-    p = object.__new__(Point)
-    object.__setattr__(p, "generator", generator)
-    object.__setattr__(p, "_d", d)
-    return p
 
 
 def _generator(g: int, x: int, d: int) -> Vector2:
@@ -117,7 +83,7 @@ def point_through(v: Vector2, m: Modulus) -> Point:
     if not is_admissible(v, m):
         raise ValueError(f"{v} is not admissible mod {d}: gcd = {math.gcd(b, c, d)}")
     g = math.gcd(b, d)
-    return _line_point(_generator(g, c * pow(b // g, -1, d // g), d), d)
+    return symplectic._solved(Point, _generator(g, c * pow(b // g, -1, d // g), d), d)
 
 
 @lru_cache(maxsize=8)
@@ -143,7 +109,7 @@ def _points_cached(
         row: list[Point | None] = [None] * d
         for r in range(n):
             if math.gcd(r, g, n) == 1:
-                p = _line_point(_generator(g, r, d), d)
+                p = symplectic._solved(Point, _generator(g, r, d), d)
                 row[p.generator[1]] = p
         rows.append((g, row))
     points = tuple(p for _, row in rows for p in row if p is not None)

@@ -29,14 +29,56 @@ def is_perp(v: Vector2, w: Vector2, m: Modulus) -> bool:
 
 
 class _Solved(Record):
-    # The slot in which a record whose members ``_perp_in_order`` solves (a
-    # perp-set from ``perp_set``, a point of the line) keeps d, outside the
-    # fields, so that its members can be made or streamed from the solution.
+    """A record whose members are the perp-set of its first field, a vector: a
+    perp-set from ``perp_set`` or a point of the line.  ``_solved`` makes one
+    with d in the ``_d`` slot and no member set; ``members`` is made from
+    ``_perp_in_order`` on first read and kept (two threads reading it first
+    make equal sets), and ``sorted_members`` streams it.  A clone is solved
+    again, equal within one version; a record built by hand sorts its set."""
+
     __slots__ = ("_d",)
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an unset slot: ``members`` of an unread solved record
+        if name != "members":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        members = frozenset(_perp_in_order(self._vector(), self._d))
+        object.__setattr__(self, "members", members)
+        return members
+
+    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
+        d = getattr(self, "_d", None)
+        return (_solved, (type(self), self._vector(), d)) if d else super().__reduce__()
+
+    def _vector(self) -> Vector2:
+        return getattr(self, self.__slots__[0])
+
+    def sorted_members(self) -> Iterable[Vector2]:
+        """The members in sorted order.  A solved record yields the solution
+        at its vector and makes no set; one built by hand sorts its set."""
+        d = getattr(self, "_d", None)
+        return _perp_in_order(self._vector(), d) if d else sorted(self.members)
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            self.__slots__[0]: list(self._vector()),
+            "members": [list(w) for w in self.sorted_members()],
+        }
+
+
+def _solved(cls: type[_Solved], key: Vector2, d: int) -> Any:
+    """The ``cls`` record keyed by the vector ``key`` of Z_d^2, reduced mod d,
+    with no member set yet.  This is the one writer of ``_d``."""
+    record = object.__new__(cls)
+    object.__setattr__(record, cls.__slots__[0], key)
+    object.__setattr__(record, "_d", d)
+    return record
 
 
 class PerpSet(_Solved):
-    """All vectors orthogonal to ``base``; a submodule of Z_d^2 containing Z_d*base."""
+    """All vectors orthogonal to ``base``; a submodule of Z_d^2 containing Z_d*base.
+
+    ``size``, which ``to_json_dict`` also writes, reads the member set and keeps it."""
 
     __slots__ = ("base", "members")
 
@@ -44,29 +86,17 @@ class PerpSet(_Solved):
     def size(self) -> int:
         return len(self.members)
 
-    def sorted_members(self) -> Iterable[Vector2]:
-        """The members in sorted order.  A perp-set from ``perp_set`` yields
-        the solution at its base and sorts nothing; any other sorts its set."""
-        d = getattr(self, "_d", None)
-        return _perp_in_order(self.base, d) if d else sorted(self.members)
-
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "base": list(self.base),
-            "members": [list(w) for w in self.sorted_members()],
-            "size": self.size,
-        }
+        return {**super().to_json_dict(), "size": self.size}
 
 
 def perp_set(v: Vector2, m: Modulus) -> PerpSet:
     """The perp-set of v = (b, c): the solutions (b', c') of b*c' = c*b' mod d,
     as ``_perp_in_order`` yields them.  For an admissible v it is the point
-    that v generates (both have d members, and the point lies in it)."""
+    that v generates (both have d members, and the point lies in it), and like
+    a point it is made from its base alone and makes its set on first read."""
     d = m.d
-    base = (v[0] % d, v[1] % d)
-    ps = PerpSet(base, frozenset(_perp_in_order(base, d)))
-    object.__setattr__(ps, "_d", d)
-    return ps
+    return _solved(PerpSet, (v[0] % d, v[1] % d), d)
 
 
 # Below this many members per row, _perp_in_order streams each coset whole
@@ -90,8 +120,8 @@ def _perp_in_order(v: Vector2, d: int) -> Iterator[Vector2]:
     above it each row is a ``range``.  There is no call to ``form``, so
     ``perp_rows``, which reads the form, is an independent build to compare
     with.  b = 0 needs no branch: then n = 1 and every c' solves a solvable
-    row.  At a canonical generator these are the members of its point:
-    ``projline.Point`` reads them here, and nothing is kept.
+    row.  At a canonical generator these are the members of its point: every
+    ``_Solved`` record, a point or a perp-set, reads its members here.
     """
     b, c = v
     g = math.gcd(b, d)

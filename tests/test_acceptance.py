@@ -364,3 +364,22 @@ def test_criterion_19_cold_point_through_at_d2310():
     assert all(v in p.members for v, p in zip(vectors[::97], pts[::97]))
     assert best < 0.05, f"took {best:.3f} s"
     print(f"PASS criterion 19: cold point_through at d=2310, 1000 vectors, {best:.4f} s")
+
+
+def test_criterion_20_cold_perp_set_at_d2310():
+    # cold: perp_set makes each perp-set from its reduced base alone, with no
+    # member set, for 1000 vectors at d=2310 (best of three runs; each run
+    # makes new perp-sets); each set read contains the vector's multiples
+    d = 2310
+    m = make_modulus(d)
+    vectors = list(product(range(1, d, 7), range(3, d, 11)))[:1000]
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        sets = [perp_set(v, m) for v in vectors]
+        best = min(best, time.perf_counter() - start)
+    assert len(sets) == 1000
+    assert all((u * b % d, u * c % d) in ps.members
+               for (b, c), ps in zip(vectors[::97], sets[::97]) for u in range(0, d, 11))
+    assert best < 0.05, f"took {best:.3f} s"
+    print(f"PASS criterion 20: cold perp_set at d=2310, 1000 vectors, {best:.4f} s")

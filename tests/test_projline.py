@@ -285,10 +285,10 @@ def test_point_cache_is_bounded():
     assert [(p.generator, p.members) for p in rebuilt] == [(p.generator, p.members) for p in built]
 
 
-def _kept(p):
-    # the member set a point holds, or None if it has not made one yet
+def _kept(record):
+    # the member set a point or perp-set holds, or None if it has not made one yet
     try:
-        return Point.members.__get__(p, Point)
+        return type(record).members.__get__(record)
     except AttributeError:
         return None
 

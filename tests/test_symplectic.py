@@ -1,12 +1,14 @@
 import copy
 import math
 import pickle
+import random
 
 import pytest
 
 import ringline.symplectic
 from ringline.ring import make_modulus
 from ringline.symplectic import PerpSet, form, is_perp, perp_rows, perp_set
+from test_projline import _kept, _race
 
 # golden: the twelve vectors orthogonal to (2,0) at d=6
 PERP_2_0_D6 = {
@@ -170,9 +172,9 @@ def test_perp_set_json_shape():
 
 @pytest.mark.parametrize("d", [6, 12, 30, 36])
 def test_perp_set_streams_its_members_in_order(monkeypatch, d):
-    # a perp-set from perp_set yields the solution at its base again and sorts
-    # nothing; a perp-set built by hand, or a clone, which carries only the
-    # fields, sorts its own set
+    # a perp-set from perp_set, or a clone of one, which is solved again,
+    # yields the solution at its base and holds no set until read; only a
+    # perp-set built by hand, which carries its set as a field, sorts it
     m = make_modulus(d)
     for v in all_vectors(d):
         ps = perp_set(v, m)
@@ -181,15 +183,74 @@ def test_perp_set_streams_its_members_in_order(monkeypatch, d):
         assert list(streamed) == sorted(ps.members), v
     ps = perp_set((2, 3), m)
     by_hand = PerpSet(ps.base, frozenset(list(ps.members)[1:]))
-    for clone in (pickle.loads(pickle.dumps(ps)), copy.deepcopy(ps), by_hand):
+    for clone in (pickle.loads(pickle.dumps(ps)), copy.deepcopy(ps)):
         assert type(clone) is PerpSet and clone is not ps
-        assert clone.sorted_members() == sorted(clone.members)
+        assert _kept(clone) is None
+        assert list(clone.sorted_members()) == sorted(ps.members)
         assert clone.to_json_dict()["members"] == [list(w) for w in sorted(clone.members)]
+    assert by_hand.sorted_members() == sorted(by_hand.members)
+    assert by_hand.to_json_dict()["members"] == [list(w) for w in sorted(by_hand.members)]
     assert pickle.loads(pickle.dumps(ps)) == ps != by_hand
     assert repr(ps) == f"PerpSet(base={ps.base!r}, members={ps.members!r})"
     monkeypatch.setattr(ringline.symplectic, "_perp_in_order", lambda v, d: iter(()))
     assert list(ps.sorted_members()) == []
     assert list(by_hand.sorted_members()) == sorted(by_hand.members)
+
+
+@pytest.mark.parametrize("d", [12, 30, 36, 210])
+def test_perp_set_makes_no_member_set(d):
+    # perp_set returns its perp-set from the base alone, like a point of the
+    # line: the first read makes the solution at the base, as a set, and keeps it
+    m = make_modulus(d)
+    rng = random.Random(d)
+    for v in rng.sample(all_vectors(d), 40):
+        ps = perp_set(v, m)
+        assert _kept(ps) is None
+        assert ps.members == frozenset(ringline.symplectic._perp_in_order(ps.base, d))
+        assert _kept(ps) is ps.members
+        by_hand = PerpSet(ps.base, frozenset(ps.members))
+        assert ps == by_hand and hash(ps) == hash(by_hand)
+        assert ps == perp_set((v[0] + d, v[1] - 3 * d), m)
+
+
+@pytest.mark.parametrize("read", [False, True])
+def test_a_perp_set_survives_pickle_and_deepcopy(read):
+    # a clone is again solved, read or not: it carries the base and d, not the
+    # set, and makes an equal set when read; a clone of a perp-set built by
+    # hand carries its set
+    m = make_modulus(30)
+    for v in [(0, 0), (2, 3), (6, 10), (7, 12)]:
+        ps = perp_set(v, m)
+        if read:
+            ps.members
+        expected = {w for w in all_vectors(30) if is_perp(v, w, m)}
+        for clone in (pickle.loads(pickle.dumps(ps)), copy.deepcopy(ps)):
+            assert type(clone) is PerpSet and clone is not ps
+            assert _kept(clone) is None
+            assert list(clone.sorted_members()) == sorted(expected)
+            assert clone.members == ps.members == expected
+            assert clone == ps and hash(clone) == hash(ps)
+        by_hand = PerpSet(ps.base, frozenset(expected))
+        for clone in (pickle.loads(pickle.dumps(by_hand)), copy.deepcopy(by_hand)):
+            assert _kept(clone) == expected and clone == by_hand
+
+
+def test_threads_that_race_for_one_cold_perp_set_get_equal_sets():
+    # every thread reads the members of one perp-set for the first time; each
+    # must get a set equal to the perp-set, and the one kept is equal too
+    m = make_modulus(60)
+    v = (12, 18)
+    expected = {w for w in all_vectors(60) if is_perp(v, w, m)}
+    for _ in range(20):
+        ps = perp_set(v, m)
+        results = [None] * 6
+
+        def work(i):
+            results[i] = ps.members
+
+        _race(6, work)
+        assert all(members == expected for members in results)
+        assert ps.members == expected
 
 
 @pytest.mark.parametrize("d", range(2, 17))
