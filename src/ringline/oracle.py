@@ -5,10 +5,11 @@ restated here as a brute-force check over the full state space for a given d.
 Checks are never sampled; a failure always carries a serialized witness, and a
 check that does not apply is reported as skipped, never silently passed.
 
-``theorem1`` and ``witness_construction`` read perp-sets as bit rows from
+``theorem1`` and ``theorem2`` read perp-sets as bit rows from
 ``symplectic.perp_rows``, which gets all d^4 pairs from 2d^2 values of the form
 by bilinearity; ``theorem1`` reads only the admissible vectors, the rest are
-``theorem2``'s.  Each of the three counts the cases it read against a closed
+``theorem2``'s.  ``witness_construction`` walks ``symplectic._perp_in_order``.
+Each of the three counts the cases it read against a closed
 form, so a source that yields too few cannot pass it: ``theorem1`` reads
 line size * unit count admissible vectors, ``theorem2`` d^2 vectors and
 ``witness_construction`` d * prod (p^2 + p - 1) pairs.  ``theorem1``
@@ -103,22 +104,14 @@ def _vectors(d: int) -> list[tuple[int, int]]:
 
 
 def _rows(members: Iterable[tuple[int, int]], d: int) -> list[int]:
-    """A set of vectors as d bit rows: bit c of row b is set iff (b, c) is in it."""
+    """A set of vectors as d bit rows: bit c of row b is set iff (b, c) is in it.
+    The oracle's one conversion: the orbit (``theorem1``) and whatever
+    ``perp_set`` returns (``theorem2``), hand-built records with no d
+    included, are compared with ``perp_rows`` as rows."""
     rows = [0] * d
     for b, c in members:
         rows[b] |= 1 << c
     return rows
-
-
-def _members(rows: list[int]) -> list[tuple[int, int]]:
-    """The vectors of a set of bit rows, in sorted order."""
-    out = []
-    for b, row in enumerate(rows):
-        while row:
-            low = row & -row
-            out.append((b, low.bit_length() - 1))
-            row ^= low
-    return out
 
 
 def verify_theorem1(m: Modulus) -> CheckResult:
@@ -256,7 +249,8 @@ def verify_theorem2(m: Modulus) -> CheckResult:
                     "perp_minus_union": [list(w) for w in sorted(perp - union)],
                 }
             if _rows(perp, d) != rows:
-                from_rows = set(_members(rows))
+                from_rows = {(b, c) for b, row in enumerate(rows)
+                             for c in range(d) if row >> c & 1}
                 return {
                     "claim": "perp_rows differs from perp_set",
                     "vector": list(v),
@@ -356,17 +350,19 @@ def construct_witness(
 def verify_witness_construction(m: Modulus) -> CheckResult:
     """For every v and every w in v-perp, the recipe yields an admissible
     generator whose point provably contains both (via the returned scalars);
-    the pairs number d * prod (p^2 + p - 1), the sum of d * gcd(b, c, d)."""
+    the pairs number d * prod (p^2 + p - 1), the sum of d * gcd(b, c, d).
+    Each perp(v) is walked in sorted order from the closed-form solution,
+    ``symplectic._perp_in_order``, which ``theorem2`` checks against
+    ``perp_rows`` through ``perp_set``; this check makes no ``form`` call."""
     if not m.square_free:
         raise ValueError(f"witness construction check requires square-free d, got d={m.d}")
     d = m.d
 
     def body() -> Counterexample | None:
         pairs = 0
-        for v, perp in symplectic.perp_rows(m):
-            members = _members(perp)
-            pairs += len(members)
-            for w in members:
+        for v in _vectors(d):
+            for w in symplectic._perp_in_order(v, d):
+                pairs += 1
                 gen, u, s = construct_witness(v, w, m)
                 failure = None
                 if not projline.is_admissible(gen, m):

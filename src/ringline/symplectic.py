@@ -121,7 +121,8 @@ def _perp_in_order(v: Vector2, d: int) -> Iterator[Vector2]:
     ``perp_rows``, which reads the form, is an independent build to compare
     with.  b = 0 needs no branch: then n = 1 and every c' solves a solvable
     row.  At a canonical generator these are the members of its point: every
-    ``_Solved`` record, a point or a perp-set, reads its members here.
+    ``_Solved`` record, a point or a perp-set, reads its members here, and
+    ``oracle.verify_witness_construction`` walks every perp(v) here.
     """
     b, c = v
     g = math.gcd(b, d)

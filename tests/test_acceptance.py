@@ -383,3 +383,16 @@ def test_criterion_20_cold_perp_set_at_d2310():
                for (b, c), ps in zip(vectors[::97], sets[::97]) for u in range(0, d, 11))
     assert best < 0.05, f"took {best:.3f} s"
     print(f"PASS criterion 20: cold perp_set at d=2310, 1000 vectors, {best:.4f} s")
+
+
+def test_criterion_21_witness_construction_at_d105():
+    # cold, like criterion 11: all 1 842 225 pairs of Z_105^2, each perp-set
+    # walked from its closed-form solution
+    ringline.projline._points_cached.cache_clear()
+    start = time.perf_counter()
+    entry = verify_witness_construction(make_modulus(105))
+    elapsed = time.perf_counter() - start
+    assert entry.status == "pass", entry.counterexample
+    assert elapsed < 10.0, f"took {elapsed:.2f} s"
+    print(f"PASS criterion 21: witness construction over all 1842225 pairs of d=105, "
+          f"{elapsed:.2f} s")

@@ -700,8 +700,7 @@ PLANTED_FAULTS = {
         ringline.projline, "points_containing", _points_with_a_member_missing, "theorem1",
     ),
     "perp-rows-stops-after-first-vector": (
-        ringline.symplectic, "perp_rows", _perp_rows_stopping_after_first_vector,
-        "witness_construction",
+        ringline.symplectic, "perp_rows", _perp_rows_stopping_after_first_vector, "theorem2",
     ),
     "generator-takes-largest-lift": (
         ringline.projline, "_generator", _generator_taking_largest_lift, "theorem1",
@@ -758,8 +757,7 @@ PLANTED_CLAIMS = {
     "is-admissible-always-false":
         "number of admissible vectors differs from line size times unit count",
     "is-admissible-ignores-d": "is_admissible differs from an empty index set K",
-    "perp-rows-stops-after-first-vector":
-        "number of witness pairs differs from d * prod (p^2 + p - 1)",
+    "perp-rows-stops-after-first-vector": "number of vectors read differs from d^2",
     "generator-takes-largest-lift": "point generator is not its least admissible member",
     "cyclic-submodule-drops-zero": "perp-set of admissible vector differs from its orbit",
     "is-unit-negated": "neighbour graph differs from the point pairs sharing a non-zero vector",
@@ -891,15 +889,28 @@ def test_theorem1_catches_a_non_least_generator(plant, d):
 
 
 @pytest.mark.parametrize("d, pairs", [(6, 6 * 5 * 11), (30, 30 * 5 * 11 * 29)])
-def test_witness_construction_counts_its_pairs(plant, d, pairs):
-    plant("perp-rows-stops-after-first-vector")
+def test_witness_construction_counts_its_pairs(monkeypatch, d, pairs):
+    # a solution that yields only (0, 0), which lies in every perp-set, so
+    # every pair passes and only the count tells
+    monkeypatch.setattr(ringline.symplectic, "_perp_in_order", lambda v, d: iter([(0, 0)]))
     (entry,) = verify_all(make_modulus(d), checks=["witness_construction"]).checks
-    # the first vector is (0, 0), whose perp-set is all of Z_d^2
     assert entry.counterexample == {
-        "claim": PLANTED_CLAIMS["perp-rows-stops-after-first-vector"],
+        "claim": "number of witness pairs differs from d * prod (p^2 + p - 1)",
         "expected": pairs,
         "actual": d * d,
     }
+
+
+def _raises(*args):
+    raise AssertionError("the witness check reads neither perp_rows nor form")
+
+
+@pytest.mark.parametrize("d", [6, 30])
+def test_witness_construction_reads_neither_perp_rows_nor_form(monkeypatch, d):
+    monkeypatch.setattr(ringline.symplectic, "perp_rows", _raises)
+    monkeypatch.setattr(ringline.symplectic, "form", _raises)
+    (entry,) = verify_all(make_modulus(d), checks=["witness_construction"]).checks
+    assert entry.status == "pass", entry.counterexample
 
 
 @pytest.mark.parametrize("d", [6, 12])
